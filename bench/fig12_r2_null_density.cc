@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "exec/thread_pool.h"
+#include "exec/worker_pool.h"
 #include "stats/distributions.h"
 #include "stats/ols.h"
 
@@ -39,8 +39,7 @@ int main() {
   const size_t n = 1000, p = 500;
   const int reps = bench::PaperScale() ? 200 : 80;
   std::vector<double> r2(reps), r2adj(reps);
-  exec::ThreadPool pool;
-  exec::ParallelFor(pool, reps, [&](size_t i) {
+  exec::ParallelFor(exec::WorkerPool::Global(), reps, [&](size_t i) {
     Rng rng(1000 + i);
     la::Matrix x(n, p), y(n, 1);
     rng.FillNormal(x.data(), x.size());

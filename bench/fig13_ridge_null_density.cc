@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "exec/thread_pool.h"
+#include "exec/worker_pool.h"
 #include "la/blas.h"
 #include "stats/ridge.h"
 
@@ -37,8 +37,7 @@ int main() {
 
   for (double lambda : {0.1, 1e6}) {
     std::vector<double> r2s(reps);
-    exec::ThreadPool pool;
-    exec::ParallelFor(pool, reps, [&](size_t i) {
+    exec::ParallelFor(exec::WorkerPool::Global(), reps, [&](size_t i) {
       r2s[i] = InSampleRidgeR2(n, p, lambda, 2000 + i);
     });
     double mean = 0.0, var = 0.0;
@@ -55,8 +54,7 @@ int main() {
   std::vector<double> chosen_lambda(reps);
   stats::RidgeOptions opts;
   opts.lambdas = {0.1, 10.0, 1000.0, 1e5, 1e6};
-  exec::ThreadPool pool;
-  exec::ParallelFor(pool, reps, [&](size_t i) {
+  exec::ParallelFor(exec::WorkerPool::Global(), reps, [&](size_t i) {
     Rng rng(3000 + i);
     la::Matrix x(n, p), y(n, 1);
     rng.FillNormal(x.data(), x.size());

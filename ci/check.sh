@@ -115,9 +115,9 @@ if [[ "${STAGE}" == "tsan" || "${STAGE}" == "all" ]]; then
     -DEXPLAINIT_TSAN=ON
   echo "=== build: ${ROOT}/build-tsan ==="
   cmake --build "${ROOT}/build-tsan" -j "${JOBS}"
-  echo "=== ctest (tsan): operator, differential and thread-pool suites ==="
+  echo "=== ctest (tsan): operator, expression and pool suites ==="
   ctest --test-dir "${ROOT}/build-tsan" --output-on-failure -j "${JOBS}" \
-    -R 'operators_test|differential_test|executor_test|planner_test|logical_plan_test|optimizer_test|fuzz_roundtrip_test|thread_pool_test|worker_pool_test|server_test|concurrency_test|tiered_store_test|ranking_test|ridge_test|anomaly_test|monitor_test|monitor_stress_test'
+    -R 'operators_test|differential_test|executor_test|planner_test|logical_plan_test|optimizer_test|fuzz_roundtrip_test|bound_expr_test|worker_pool_test|server_test|concurrency_test|tiered_store_test|ranking_test|ridge_test|anomaly_test|monitor_test|monitor_stress_test'
 fi
 
 echo "=== checks passed (${STAGE}) ==="

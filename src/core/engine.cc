@@ -214,11 +214,6 @@ Result<QueryResult> Engine::ExecuteStatement(sql::Executor& executor,
   return out;
 }
 
-Result<table::Table> Engine::Sql(std::string_view query) {
-  EXPLAINIT_ASSIGN_OR_RETURN(QueryResult result, Query(query));
-  return std::move(result.table);
-}
-
 Result<std::vector<FeatureFamily>> Engine::FamiliesFromStore(
     const TimeRange& range, const GroupingOptions& grouping,
     const tsdb::ScanRequest& base_filter) {
@@ -232,9 +227,9 @@ Result<std::vector<FeatureFamily>> Engine::FamiliesFromStore(
 
 Result<std::vector<FeatureFamily>> Engine::FamiliesFromQuery(
     std::string_view query, const std::string& default_family) {
-  EXPLAINIT_ASSIGN_OR_RETURN(table::Table result, Sql(query));
+  EXPLAINIT_ASSIGN_OR_RETURN(QueryResult result, Query(query));
   EXPLAINIT_ASSIGN_OR_RETURN(table::Table ff,
-                             NormalizeToFeatureFamilyTable(result,
+                             NormalizeToFeatureFamilyTable(result.table,
                                                            default_family));
   return FamiliesFromTable(ff);
 }

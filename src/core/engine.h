@@ -138,12 +138,7 @@ class Engine {
   Result<QueryResult> ExecuteStatement(sql::Executor& executor,
                                        const sql::Statement& stmt);
 
-  /// DEPRECATED: thin shim over Query() that drops everything but the
-  /// result table. Prefer Query(), which also reports the statement kind,
-  /// execution stats and (for EXPLAIN) the typed Score Table.
-  Result<table::Table> Sql(std::string_view query);
-
-  /// Cumulative execution statistics across every Sql() call.
+  /// Cumulative execution statistics across every Query() call.
   const sql::ExecStats& exec_stats() const { return executor_.stats(); }
   /// Statistics (with the per-operator breakdown) of the last query.
   const sql::ExecStats& last_exec_stats() const {
@@ -172,7 +167,7 @@ class Engine {
   /// overlap between X, Y and Z".
   Result<ScoreTable> Rank(const RankRequest& request);
 
-  /// The SQL executor behind Query()/Sql() (parallelism knob, stats).
+  /// The SQL executor behind Query() (parallelism knob, stats).
   sql::Executor& executor() { return executor_; }
 
  private:

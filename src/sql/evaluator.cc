@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/strings.h"
+#include "sql/bound_expr.h"
 
 namespace explainit::sql {
 
@@ -10,45 +11,11 @@ using table::DataType;
 using table::Value;
 
 bool SqlLikeMatch(const std::string& pattern, const std::string& text) {
-  // Translate SQL wildcards to the glob matcher: % -> *, _ -> ?.
-  std::string glob;
-  glob.reserve(pattern.size());
-  for (char c : pattern) {
-    if (c == '%') {
-      glob += '*';
-    } else if (c == '_') {
-      glob += '?';
-    } else {
-      glob += c;
-    }
-  }
-  return GlobMatch(glob, text);
+  return GlobMatch(LikeToGlob(pattern), text);
 }
 
 Result<size_t> Evaluator::ResolveColumn(const Expr& expr) const {
-  const table::Schema& schema = *schema_;
-  if (!expr.qualifier.empty()) {
-    const std::string full = expr.qualifier + "." + expr.column;
-    if (auto idx = schema.FieldIndex(full); idx.has_value()) return *idx;
-    if (auto idx = schema.FieldIndex(expr.column); idx.has_value()) {
-      return *idx;
-    }
-    return Status::NotFound("column not found: " + full);
-  }
-  if (auto idx = schema.FieldIndex(expr.column); idx.has_value()) return *idx;
-  // Unique suffix match over qualified join-output names.
-  const std::string suffix = "." + ToLower(expr.column);
-  std::optional<size_t> found;
-  for (size_t i = 0; i < schema.num_fields(); ++i) {
-    if (EndsWith(ToLower(schema.field(i).name), suffix)) {
-      if (found.has_value()) {
-        return Status::InvalidArgument("ambiguous column: " + expr.column);
-      }
-      found = i;
-    }
-  }
-  if (found.has_value()) return *found;
-  return Status::NotFound("column not found: " + expr.column);
+  return sql::ResolveColumn(*schema_, expr);
 }
 
 Result<Value> Evaluator::Eval(const Expr& expr, size_t row) const {

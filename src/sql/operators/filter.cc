@@ -3,7 +3,6 @@
 namespace explainit::sql {
 
 using table::ColumnBatch;
-using table::Value;
 
 FilterOperator::FilterOperator(std::unique_ptr<Operator> input,
                                ExprPtr predicate,
@@ -17,107 +16,19 @@ FilterOperator::FilterOperator(std::unique_ptr<Operator> input,
 
 Status FilterOperator::OpenImpl() {
   EXPLAINIT_RETURN_IF_ERROR(input_->Open());
-  use_matchers_ = !materialize_ && CompileMatchers();
+  bound_ = SchemaBoundExprs({predicate_.get()}, functions_);
+  bound_.For(input_->output_schema());
   return Status::OK();
 }
 
-bool FilterOperator::CompileMatchers() {
-  std::vector<const Expr*> conjuncts;
-  CollectConjuncts(predicate_.get(), &conjuncts);
-  Evaluator schema_ev(&input_->output_schema(), functions_);
-  std::vector<Matcher> matchers;
-  matchers.reserve(conjuncts.size());
-  for (const Expr* c : conjuncts) {
-    Matcher m;
-    if (c->kind == ExprKind::kBetween) {
-      if (c->left == nullptr || c->between_lo == nullptr ||
-          c->between_hi == nullptr ||
-          c->between_lo->kind != ExprKind::kLiteral ||
-          c->between_hi->kind != ExprKind::kLiteral) {
-        return false;
-      }
-      auto simple = CompileSimpleExpr(*c->left);
-      if (!simple.has_value()) return false;
-      auto bound = BindSimpleExpr(*simple, schema_ev);
-      if (!bound.ok()) return false;
-      m.lhs = std::move(bound).value();
-      m.op = Matcher::Op::kBetween;
-      m.negated = c->negated;
-      m.rhs = c->between_lo->literal;
-      m.hi = c->between_hi->literal;
-      matchers.push_back(std::move(m));
-      continue;
-    }
-    if (c->kind != ExprKind::kBinary || c->left == nullptr ||
-        c->right == nullptr) {
-      return false;
-    }
-    BinaryOp op = c->binary_op;
-    const Expr* simple_side = c->left.get();
-    const Expr* literal_side = c->right.get();
-    if (simple_side->kind == ExprKind::kLiteral) {
-      // literal OP expr: flip the comparison.
-      std::swap(simple_side, literal_side);
-      op = op == BinaryOp::kLt   ? BinaryOp::kGt
-           : op == BinaryOp::kLe ? BinaryOp::kGe
-           : op == BinaryOp::kGt ? BinaryOp::kLt
-           : op == BinaryOp::kGe ? BinaryOp::kLe
-                                 : op;
-    }
-    if (literal_side->kind != ExprKind::kLiteral) return false;
-    switch (op) {
-      case BinaryOp::kEq: m.op = Matcher::Op::kEq; break;
-      case BinaryOp::kNe: m.op = Matcher::Op::kNe; break;
-      case BinaryOp::kLt: m.op = Matcher::Op::kLt; break;
-      case BinaryOp::kLe: m.op = Matcher::Op::kLe; break;
-      case BinaryOp::kGt: m.op = Matcher::Op::kGt; break;
-      case BinaryOp::kGe: m.op = Matcher::Op::kGe; break;
-      default: return false;
-    }
-    auto simple = CompileSimpleExpr(*simple_side);
-    if (!simple.has_value()) return false;
-    auto bound = BindSimpleExpr(*simple, schema_ev);
-    if (!bound.ok()) return false;
-    m.lhs = std::move(bound).value();
-    m.rhs = literal_side->literal;
-    matchers.push_back(std::move(m));
-  }
-  matchers_ = std::move(matchers);
-  return true;
-}
-
-Result<bool> FilterOperator::MatchRow(const std::vector<Matcher>& matchers,
-                                      const ColumnBatch& batch, size_t row) {
-  // Mirrors the Evaluator's left-to-right AND: the first *false* conjunct
-  // stops evaluation; a NULL conjunct drops the row but keeps evaluating
-  // (so later errors still surface exactly as they would serially).
-  bool null_seen = false;
-  for (const Matcher& m : matchers) {
-    const Value* cell = nullptr;
-    EXPLAINIT_RETURN_IF_ERROR(m.lhs.Get(batch, row, &cell));
-    if (cell->is_null() || m.rhs.is_null() ||
-        (m.op == Matcher::Op::kBetween && m.hi.is_null())) {
-      null_seen = true;
-      continue;
-    }
-    bool pass = false;
-    switch (m.op) {
-      case Matcher::Op::kEq: pass = cell->Equals(m.rhs); break;
-      case Matcher::Op::kNe: pass = !cell->Equals(m.rhs); break;
-      case Matcher::Op::kLt: pass = cell->Compare(m.rhs) < 0; break;
-      case Matcher::Op::kLe: pass = cell->Compare(m.rhs) <= 0; break;
-      case Matcher::Op::kGt: pass = cell->Compare(m.rhs) > 0; break;
-      case Matcher::Op::kGe: pass = cell->Compare(m.rhs) >= 0; break;
-      case Matcher::Op::kBetween: {
-        const bool in =
-            cell->Compare(m.rhs) >= 0 && cell->Compare(m.hi) <= 0;
-        pass = m.negated ? !in : in;
-        break;
-      }
-    }
-    if (!pass) return false;
-  }
-  return !null_seen;
+Result<std::vector<uint32_t>> FilterOperator::Select(const ColumnBatch& batch,
+                                                     size_t begin,
+                                                     size_t end) {
+  std::vector<uint32_t> selected;
+  selected.reserve(end - begin);
+  EXPLAINIT_RETURN_IF_ERROR(
+      SelectRows(bound_.For(batch.schema()), batch, begin, end, &selected));
+  return selected;
 }
 
 Result<ColumnBatch> FilterOperator::ParallelNext(bool* eof) {
@@ -133,31 +44,16 @@ Result<ColumnBatch> FilterOperator::ParallelNext(bool* eof) {
       EXPLAINIT_RETURN_IF_ERROR(Drain(input_, &drained_));
       source = &drained_;
     }
+    const ColumnBatch view = ColumnBatch::View(*source, 0, source->num_rows());
+    bound_.For(view.schema());  // bind before the fan-out
     const std::vector<RowRange> shards =
         ShardRows(source->num_rows(), ctx_->parallelism);
     std::vector<ColumnBatch> outputs(shards.size());
     EXPLAINIT_RETURN_IF_ERROR(RunSharded(
         ctx_, shards.size(), [&](size_t s) -> Status {
           const RowRange& range = shards[s];
-          ColumnBatch view =
-              ColumnBatch::View(*source, 0, source->num_rows());
-          std::vector<uint32_t> selected;
-          selected.reserve(range.size());
-          if (use_matchers_) {
-            for (size_t r = range.begin; r < range.end; ++r) {
-              EXPLAINIT_ASSIGN_OR_RETURN(bool keep,
-                                         MatchRow(matchers_, view, r));
-              if (keep) selected.push_back(static_cast<uint32_t>(r));
-            }
-          } else {
-            Evaluator ev(source, functions_);
-            for (size_t r = range.begin; r < range.end; ++r) {
-              EXPLAINIT_ASSIGN_OR_RETURN(Value v, ev.Eval(*predicate_, r));
-              if (!v.is_null() && v.AsBool()) {
-                selected.push_back(static_cast<uint32_t>(r));
-              }
-            }
-          }
+          EXPLAINIT_ASSIGN_OR_RETURN(std::vector<uint32_t> selected,
+                                     Select(view, range.begin, range.end));
           if (selected.empty()) return Status::OK();
           if (selected.size() == range.size()) {
             // All pass: a zero-copy view over the shard's rows.
@@ -170,7 +66,6 @@ Result<ColumnBatch> FilterOperator::ParallelNext(bool* eof) {
         }));
     shard_output_ = std::move(outputs);
     stats_.detail = std::to_string(shards.size()) + " shards";
-    if (use_matchers_) stats_.detail += " compiled";
   }
   while (emit_pos_ < shard_output_.size()) {
     ColumnBatch batch = std::move(shard_output_[emit_pos_]);
@@ -194,21 +89,15 @@ Result<ColumnBatch> FilterOperator::NextImpl(bool* eof) {
     materialized_ = table::Table(input_->output_schema());
     EXPLAINIT_RETURN_IF_ERROR(Drain(input_, &materialized_));
     materialized_done_ = true;
-    Evaluator ev(&materialized_, functions_);
-    std::vector<uint32_t> selected;
-    for (size_t r = 0; r < materialized_.num_rows(); ++r) {
-      EXPLAINIT_ASSIGN_OR_RETURN(Value v, ev.Eval(*predicate_, r));
-      if (!v.is_null() && v.AsBool()) {
-        selected.push_back(static_cast<uint32_t>(r));
-      }
-    }
+    const ColumnBatch view =
+        ColumnBatch::View(materialized_, 0, materialized_.num_rows());
+    EXPLAINIT_ASSIGN_OR_RETURN(std::vector<uint32_t> selected,
+                               Select(view, 0, view.num_rows()));
     *eof = false;
-    return ColumnBatch::View(materialized_, 0, materialized_.num_rows())
-        .Gather(selected);
+    return view.Gather(selected);
   }
   // Vectorised path: evaluate the predicate over each pulled batch and
-  // gather the surviving rows; fully filtered batches are skipped. The
-  // compiled-conjunct fast path skips the Evaluator entirely.
+  // gather the surviving rows; fully filtered batches are skipped.
   while (true) {
     bool child_eof = false;
     EXPLAINIT_ASSIGN_OR_RETURN(ColumnBatch batch, input_->Next(&child_eof));
@@ -216,23 +105,8 @@ Result<ColumnBatch> FilterOperator::NextImpl(bool* eof) {
       *eof = true;
       return ColumnBatch{};
     }
-    std::vector<uint32_t> selected;
-    selected.reserve(batch.num_rows());
-    if (use_matchers_) {
-      for (size_t r = 0; r < batch.num_rows(); ++r) {
-        EXPLAINIT_ASSIGN_OR_RETURN(bool keep,
-                                   MatchRow(matchers_, batch, r));
-        if (keep) selected.push_back(static_cast<uint32_t>(r));
-      }
-    } else {
-      Evaluator ev(&batch, functions_);
-      for (size_t r = 0; r < batch.num_rows(); ++r) {
-        EXPLAINIT_ASSIGN_OR_RETURN(Value v, ev.Eval(*predicate_, r));
-        if (!v.is_null() && v.AsBool()) {
-          selected.push_back(static_cast<uint32_t>(r));
-        }
-      }
-    }
+    EXPLAINIT_ASSIGN_OR_RETURN(std::vector<uint32_t> selected,
+                               Select(batch, 0, batch.num_rows()));
     if (selected.empty()) continue;
     *eof = false;
     if (selected.size() == batch.num_rows()) return batch;  // all pass

@@ -8,18 +8,10 @@
 // are evaluated across the pool, and per-shard survivors are emitted in
 // shard order — all-pass shards as zero-copy views, partial shards as
 // owned compactions — so output order matches the serial pipeline.
-// When every top-level WHERE conjunct is a simple comparison
-// (`col OP literal`, `tag['k'] OP literal`, `col [NOT] BETWEEN lit AND
-// lit`), the predicate compiles to a vector of flat matchers evaluated
-// straight off the column arrays — no per-row Evaluator dispatch, name
-// resolution or Value copies. Keep/drop decisions are identical to the
-// Evaluator's three-valued AND (a row passes iff every conjunct is
-// true); any other shape falls back to generic evaluation.
 #pragma once
 
-#include "sql/evaluator.h"
+#include "sql/bound_expr.h"
 #include "sql/operators/operator.h"
-#include "sql/operators/simple_expr.h"
 
 namespace explainit::sql {
 
@@ -44,23 +36,10 @@ class FilterOperator : public Operator {
   Result<table::ColumnBatch> NextImpl(bool* eof) override;
 
  private:
-  /// One compiled conjunct: a bound accessor compared against a literal.
-  struct Matcher {
-    enum class Op { kEq, kNe, kLt, kLe, kGt, kGe, kBetween };
-    BoundSimpleExpr lhs;
-    Op op = Op::kEq;
-    bool negated = false;  // BETWEEN only
-    table::Value rhs;      // comparison / BETWEEN lo
-    table::Value hi;       // BETWEEN hi
-  };
-
   Result<table::ColumnBatch> ParallelNext(bool* eof);
-  /// Tries to compile+bind the whole predicate; fills matchers_ and
-  /// returns true only when every conjunct compiled.
-  bool CompileMatchers();
-  /// Evaluates the compiled conjuncts at one row (all-true semantics).
-  static Result<bool> MatchRow(const std::vector<Matcher>& matchers,
-                               const table::ColumnBatch& batch, size_t row);
+  /// The rows of [begin, end) that pass the predicate.
+  Result<std::vector<uint32_t>> Select(const table::ColumnBatch& batch,
+                                       size_t begin, size_t end);
 
   Operator* input_;
   ExprPtr predicate_;
@@ -68,6 +47,7 @@ class FilterOperator : public Operator {
   const ExecContext* ctx_;
   bool materialize_ = false;  // LAG present: evaluate over the whole input
   bool parallel_ = false;     // sharded morsel path
+  SchemaBoundExprs bound_;    // the predicate, per input schema
 
   table::Table materialized_;
   bool materialized_done_ = false;
@@ -78,9 +58,6 @@ class FilterOperator : public Operator {
   std::vector<table::ColumnBatch> shard_output_;
   size_t emit_pos_ = 0;
   bool sharded_done_ = false;
-
-  std::vector<Matcher> matchers_;
-  bool use_matchers_ = false;
 };
 
 }  // namespace explainit::sql

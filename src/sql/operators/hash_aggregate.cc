@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 namespace explainit::sql {
 
@@ -13,8 +12,11 @@ using table::Value;
 
 namespace {
 
-// Computes one aggregate over a set of row indices.
-Result<Value> ComputeAggregate(const Expr& agg, const Evaluator& ev,
+// Computes one aggregate over a set of row indices; `args` are the call's
+// arguments bound to `input`.
+Result<Value> ComputeAggregate(const Expr& agg,
+                               const std::vector<BoundExpr>& args,
+                               const ColumnBatch& input,
                                const std::vector<size_t>& rows) {
   const std::string& name = agg.function_name;
   if (name == "COUNT") {
@@ -26,7 +28,7 @@ Result<Value> ComputeAggregate(const Expr& agg, const Evaluator& ev,
     }
     int64_t n = 0;
     for (size_t r : rows) {
-      EXPLAINIT_ASSIGN_OR_RETURN(Value v, ev.Eval(*agg.args[0], r));
+      EXPLAINIT_ASSIGN_OR_RETURN(Value v, args[0].EvalRow(input, r));
       if (!v.is_null()) ++n;
     }
     return Value::Int(n);
@@ -40,7 +42,7 @@ Result<Value> ComputeAggregate(const Expr& agg, const Evaluator& ev,
     }
     double acc = 0.0;
     for (size_t r : rows) {
-      EXPLAINIT_ASSIGN_OR_RETURN(Value v, ev.Eval(*agg.args[0], r));
+      EXPLAINIT_ASSIGN_OR_RETURN(Value v, args[0].EvalRow(input, r));
       if (!v.is_null()) acc += v.AsDouble();
     }
     return Value::Int(std::llround(acc));
@@ -51,7 +53,7 @@ Result<Value> ComputeAggregate(const Expr& agg, const Evaluator& ev,
   std::vector<double> values;
   values.reserve(rows.size());
   for (size_t r : rows) {
-    EXPLAINIT_ASSIGN_OR_RETURN(Value v, ev.Eval(*agg.args[0], r));
+    EXPLAINIT_ASSIGN_OR_RETURN(Value v, args[0].EvalRow(input, r));
     if (!v.is_null()) values.push_back(v.AsDouble());
   }
   if (values.empty()) return Value::Null();
@@ -80,7 +82,7 @@ Result<Value> ComputeAggregate(const Expr& agg, const Evaluator& ev,
     if (agg.args.size() != 2) {
       return Status::InvalidArgument("PERCENTILE expects (expr, p)");
     }
-    EXPLAINIT_ASSIGN_OR_RETURN(Value pv, ev.Eval(*agg.args[1], rows[0]));
+    EXPLAINIT_ASSIGN_OR_RETURN(Value pv, args[1].EvalRow(input, rows[0]));
     double p = pv.AsDouble();
     if (p > 1.0) p /= 100.0;  // accept both 0.99 and 99
     p = std::clamp(p, 0.0, 1.0);
@@ -94,69 +96,9 @@ Result<Value> ComputeAggregate(const Expr& agg, const Evaluator& ev,
   return Status::Unimplemented("aggregate not implemented: " + name);
 }
 
-/// Computes one aggregate node's value in group context.
-using AggEvalFn = std::function<Result<Value>(const Expr&)>;
-
-// Evaluates a select-item expression in group context: aggregate calls go
-// through `agg_eval`; everything else is evaluated at the representative
-// row. Mixed scalar-of-aggregate (e.g. AVG(x) / AVG(y) or AVG(x) + 1)
-// recursively rebuilds around aggregate leaves.
-Result<Value> EvalGroupExpr(const Expr& e, const Evaluator& ev,
-                            size_t rep_row, const AggEvalFn& agg_eval) {
-  if (e.kind == ExprKind::kFunction && IsAggregateFunction(e.function_name)) {
-    return agg_eval(e);
-  }
-  if (!e.ContainsAggregate()) {
-    return ev.Eval(e, rep_row);
-  }
-  Expr copy;
-  copy.kind = e.kind;
-  copy.binary_op = e.binary_op;
-  copy.unary_op = e.unary_op;
-  copy.negated = e.negated;
-  copy.function_name = e.function_name;
-  copy.qualifier = e.qualifier;
-  copy.column = e.column;
-  copy.literal = e.literal;
-  auto lift = [&](const ExprPtr& child) -> Result<ExprPtr> {
-    if (child == nullptr) return ExprPtr{};
-    EXPLAINIT_ASSIGN_OR_RETURN(Value v,
-                               EvalGroupExpr(*child, ev, rep_row, agg_eval));
-    return MakeLiteral(std::move(v));
-  };
-  EXPLAINIT_ASSIGN_OR_RETURN(copy.left, lift(e.left));
-  EXPLAINIT_ASSIGN_OR_RETURN(copy.right, lift(e.right));
-  EXPLAINIT_ASSIGN_OR_RETURN(copy.between_lo, lift(e.between_lo));
-  EXPLAINIT_ASSIGN_OR_RETURN(copy.between_hi, lift(e.between_hi));
-  EXPLAINIT_ASSIGN_OR_RETURN(copy.case_else, lift(e.case_else));
-  for (const ExprPtr& a : e.args) {
-    EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr la, lift(a));
-    copy.args.push_back(std::move(la));
-  }
-  for (const ExprPtr& a : e.list) {
-    EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr la, lift(a));
-    copy.list.push_back(std::move(la));
-  }
-  for (const CaseBranch& b : e.case_branches) {
-    CaseBranch nb;
-    EXPLAINIT_ASSIGN_OR_RETURN(nb.condition, lift(b.condition));
-    EXPLAINIT_ASSIGN_OR_RETURN(nb.result, lift(b.result));
-    copy.case_branches.push_back(std::move(nb));
-  }
-  return ev.Eval(copy, rep_row);
-}
-
-// Evaluates a select-item expression over the rows of one group.
-Result<Value> EvalInGroup(const Expr& e, const Evaluator& ev,
-                          const std::vector<size_t>& rows) {
-  return EvalGroupExpr(e, ev, rows[0], [&](const Expr& agg) {
-    return ComputeAggregate(agg, ev, rows);
-  });
-}
-
 /// Collects the topmost aggregate call nodes of an expression tree (the
-/// granularity EvalGroupExpr substitutes at; nested aggregates inside an
-/// argument are the serial path's runtime error to report).
+/// granularity group evaluation substitutes at; nested aggregates inside
+/// an argument are a scalar-context error when evaluated).
 void CollectTopAggregates(const Expr& e, std::vector<const Expr*>* out) {
   if (e.kind == ExprKind::kFunction && IsAggregateFunction(e.function_name)) {
     out->push_back(&e);
@@ -214,6 +156,7 @@ Status HashAggregateOperator::OpenImpl() {
     if (ContainsLag(*item.expr)) lag_anywhere_ = true;
     CollectTopAggregates(*item.expr, &agg_nodes_);
   }
+  having_slots_ = agg_nodes_.size();
   for (const ExprPtr& g : stmt_->group_by) {
     if (ContainsLag(*g)) lag_anywhere_ = true;
   }
@@ -224,37 +167,42 @@ Status HashAggregateOperator::OpenImpl() {
   partial_ok_ = std::all_of(
       agg_nodes_.begin(), agg_nodes_.end(),
       [](const Expr* a) { return IsDecomposable(*a); });
-  for (size_t i = 0; i < agg_nodes_.size(); ++i) slot_of_[agg_nodes_[i]] = i;
-
-  // Kernel eligibility: group keys and aggregate arguments that are all
-  // plain columns / tag-subscripts accumulate without the Evaluator.
-  kernel_ok_ = partial_ok_;
-  for (const ExprPtr& g : stmt_->group_by) {
-    auto simple = CompileSimpleExpr(*g);
-    if (!simple.has_value()) {
-      kernel_ok_ = false;
-      break;
-    }
-    simple_keys_.push_back(std::move(*simple));
-  }
-  if (kernel_ok_) {
-    for (const Expr* node : agg_nodes_) {
-      SlotArg arg;
-      if (node->args[0]->kind == ExprKind::kStar) {
-        arg.star = true;
-      } else {
-        auto simple = CompileSimpleExpr(*node->args[0]);
-        if (!simple.has_value()) {
-          kernel_ok_ = false;
-          break;
-        }
-        arg.expr = std::move(*simple);
-      }
-      simple_args_.push_back(std::move(arg));
-    }
+  for (const Expr* a : agg_nodes_) {
+    count_star_.push_back(!a->args.empty() && a->args[0] != nullptr &&
+                          a->args[0]->kind == ExprKind::kStar);
   }
   acc_ = table::Table(input_->output_schema());
+  BindFor(input_->output_schema());
   return Status::OK();
+}
+
+const HashAggregateOperator::Bindings& HashAggregateOperator::BindFor(
+    const table::Schema& schema) {
+  for (size_t i = 0; i < bound_schemas_.size(); ++i) {
+    if (bound_schemas_[i] == &schema) return *bindings_[i];
+  }
+  auto b = std::make_unique<Bindings>();
+  for (const ExprPtr& g : stmt_->group_by) {
+    b->keys.push_back(BoundExpr::Bind(*g, schema, *functions_));
+  }
+  for (const Expr* agg : agg_nodes_) {
+    std::vector<BoundExpr> args;
+    for (const ExprPtr& a : agg->args) {
+      args.push_back(BoundExpr::Bind(*a, schema, *functions_));
+    }
+    b->agg_args.push_back(std::move(args));
+  }
+  for (const SelectItem& item : stmt_->items) {
+    b->items.push_back(
+        BoundExpr::BindGroup(*item.expr, schema, *functions_, agg_nodes_));
+  }
+  if (stmt_->having != nullptr) {
+    b->having =
+        BoundExpr::BindGroup(*stmt_->having, schema, *functions_, agg_nodes_);
+  }
+  bound_schemas_.push_back(&schema);
+  bindings_.push_back(std::move(b));
+  return *bindings_.back();
 }
 
 Result<ColumnBatch> HashAggregateOperator::NextImpl(bool* eof) {
@@ -263,18 +211,48 @@ Result<ColumnBatch> HashAggregateOperator::NextImpl(bool* eof) {
     return ColumnBatch{};
   }
   done_ = true;
+  *eof = false;
   const bool parallel =
       ctx_ != nullptr && ctx_->parallel() && !lag_anywhere_;
-  if (!parallel) return SerialNext(eof);
-  if (partial_ok_) return PartialNext(eof);
-  return IndexNext(eof);
+  if (!parallel) return SerialNext();
+  if (partial_ok_) return PartialNext();
+  return IndexNext();
 }
 
-table::ColumnBatch HashAggregateOperator::EmitRows(
-    std::vector<std::vector<Value>> cols, size_t rows) {
+ColumnBatch HashAggregateOperator::EmitRows(
+    std::vector<std::vector<Value>> cols, const std::vector<char>& keep) {
+  const size_t num_groups = keep.size();
+  size_t rows = 0;
+  for (char k : keep) rows += k != 0;
+  if (rows != num_groups) {
+    // Compact kept groups in first-appearance order.
+    for (auto& col : cols) {
+      size_t out = 0;
+      for (size_t gi = 0; gi < num_groups; ++gi) {
+        if (!keep[gi]) continue;
+        if (out != gi) col[out] = std::move(col[gi]);
+        ++out;
+      }
+      col.resize(rows);
+    }
+  }
   ColumnBatch out(&schema_, rows);
   for (auto& col : cols) out.AddOwnedColumn(std::move(col));
   return out;
+}
+
+ColumnBatch HashAggregateOperator::EmptyGlobalRow() {
+  // Aggregates over no rows yield NULL, COUNT yields 0.
+  std::vector<std::vector<Value>> cols(schema_.num_fields());
+  for (size_t i = 0; i < stmt_->items.size(); ++i) {
+    const Expr& e = *stmt_->items[i].expr;
+    cols[i].push_back(e.kind == ExprKind::kFunction &&
+                              (e.function_name == "COUNT" ||
+                               e.function_name == "__SUM_COUNT")
+                          ? Value::Int(0)
+                          : Value::Null());
+  }
+  return EmitRows(std::move(cols), std::vector<char>(1, 1));
 }
 
 Status HashAggregateOperator::MaterializeInputShards() {
@@ -290,34 +268,45 @@ Status HashAggregateOperator::MaterializeInputShards() {
   return Status::OK();
 }
 
+template <typename Fill>
+Status HashAggregateOperator::EvalGroup(
+    const Bindings& b, const ColumnBatch& input, size_t rep,
+    const Fill& fill, size_t gi, std::vector<char>* keep,
+    std::vector<std::vector<Value>>* values) const {
+  // HAVING's aggregates first; the select list's only for survivors.
+  std::vector<Result<Value>> slots(agg_nodes_.size(), Value());
+  if (stmt_->having != nullptr) {
+    fill(having_slots_, agg_nodes_.size(), &slots);
+    EXPLAINIT_ASSIGN_OR_RETURN(Value v,
+                               b.having.EvalRow(input, rep, slots.data()));
+    if (v.is_null() || !v.AsBool()) {
+      (*keep)[gi] = 0;
+      return Status::OK();
+    }
+  }
+  fill(0, having_slots_, &slots);
+  for (size_t i = 0; i < b.items.size(); ++i) {
+    EXPLAINIT_ASSIGN_OR_RETURN((*values)[i][gi],
+                               b.items[i].EvalRow(input, rep, slots.data()));
+  }
+  return Status::OK();
+}
+
 // ---------------------------------------------------------------------------
 // Parallel partial-aggregation mode
 // ---------------------------------------------------------------------------
 
-Status HashAggregateOperator::PartialAccumulateGeneric(
-    const ColumnBatch& batch, uint32_t batch_index, ShardGroups* local) {
+Status HashAggregateOperator::PartialAccumulate(const ColumnBatch& batch,
+                                                const Bindings& b,
+                                                uint32_t batch_index,
+                                                ShardGroups* local) const {
   const size_t num_slots = agg_nodes_.size();
-  Evaluator ev(&batch, functions_);
-  std::vector<Value> key;
-  std::string encoded;
+  std::string key;
   for (size_t r = 0; r < batch.num_rows(); ++r) {
-    if (stmt_->group_by.empty()) {
-      encoded.clear();
-    } else if (stmt_->group_by.size() == 1) {
-      // Single key: the bare rendered value, exactly as the kernel path
-      // encodes it (the two must agree group-for-group).
-      EXPLAINIT_ASSIGN_OR_RETURN(Value v, ev.Eval(*stmt_->group_by[0], r));
-      encoded = v.ToString();
-    } else {
-      key.clear();
-      for (const ExprPtr& g : stmt_->group_by) {
-        EXPLAINIT_ASSIGN_OR_RETURN(Value v, ev.Eval(*g, r));
-        key.push_back(std::move(v));
-      }
-      encoded = EncodeKey(key, nullptr);
-    }
-    auto [it, inserted] =
-        local->index.try_emplace(encoded, local->groups.size());
+    // The key lives in a reused buffer; only a first-seen key is copied.
+    bool matchable = true;
+    EXPLAINIT_RETURN_IF_ERROR(EncodeRowKey(b.keys, batch, r, &key, &matchable));
+    auto [it, inserted] = local->index.try_emplace(key, local->groups.size());
     if (inserted) {
       local->order.push_back(&it->first);
       GroupPartial g;
@@ -326,126 +315,27 @@ Status HashAggregateOperator::PartialAccumulateGeneric(
       local->groups.push_back(g);
       local->slots.resize(local->slots.size() + num_slots);
     }
-    GroupPartial& g = local->groups[it->second];
+    ++local->groups[it->second].rows;
     PartialState* slots = local->slots.data() + it->second * num_slots;
-    ++g.rows;
     for (size_t i = 0; i < num_slots; ++i) {
-      const Expr& agg = *agg_nodes_[i];
-      if (agg.args[0]->kind == ExprKind::kStar) continue;
       PartialState& st = slots[i];
-      if (!st.error.ok()) continue;
-      Result<Value> rv = ev.Eval(*agg.args[0], r);
-      if (!rv.ok()) {
+      if (count_star_[i] || !st.error.ok()) continue;
+      Value tmp;
+      const Value* v = nullptr;
+      Status s = b.agg_args[i][0].EvalRef(batch, r, &tmp, &v);
+      if (!s.ok()) {
         // Deferred like the serial path: only surfaces if the group
         // survives HAVING and the slot is consulted.
-        st.error = rv.status();
+        st.error = std::move(s);
         continue;
       }
-      const Value v = std::move(rv).value();
-      if (v.is_null()) continue;
-      st.Accumulate(v.AsDouble());
+      if (!v->is_null()) st.Accumulate(v->AsDouble());
     }
   }
   return Status::OK();
 }
 
-Result<bool> HashAggregateOperator::PartialAccumulateKernel(
-    const ColumnBatch& batch, uint32_t batch_index, ShardGroups* local) {
-  // Bind every accessor against this batch's schema; any miss (unknown
-  // column) falls back to the generic path, which reports the error with
-  // the Evaluator's wording.
-  Evaluator schema_ev(&batch.schema(), functions_);
-  std::vector<BoundSimpleExpr> keys;
-  keys.reserve(simple_keys_.size());
-  for (const SimpleExpr& k : simple_keys_) {
-    auto bound = BindSimpleExpr(k, schema_ev);
-    if (!bound.ok()) return false;
-    keys.push_back(std::move(bound).value());
-  }
-  struct BoundArg {
-    bool star = false;
-    BoundSimpleExpr expr;
-  };
-  std::vector<BoundArg> args;
-  args.reserve(simple_args_.size());
-  for (const SlotArg& a : simple_args_) {
-    BoundArg bound;
-    bound.star = a.star;
-    if (!a.star) {
-      auto b = BindSimpleExpr(a.expr, schema_ev);
-      if (!b.ok()) return false;
-      bound.expr = std::move(b).value();
-    }
-    args.push_back(std::move(bound));
-  }
-
-  const size_t num_slots = args.size();
-  const bool single_key = keys.size() == 1;
-  std::string keybuf;
-  for (size_t r = 0; r < batch.num_rows(); ++r) {
-    // Build the group key as a string_view over reused storage; only a
-    // first-seen key pays a std::string construction.
-    std::string_view key_view;
-    if (keys.empty()) {
-      key_view = std::string_view{};
-    } else if (single_key) {
-      const Value* cell = nullptr;
-      EXPLAINIT_RETURN_IF_ERROR(keys[0].Get(batch, r, &cell));
-      const std::string* s = cell->TryString();
-      if (s != nullptr) {
-        key_view = *s;
-      } else {
-        keybuf = cell->ToString();
-        key_view = keybuf;
-      }
-    } else {
-      keybuf.clear();
-      for (const BoundSimpleExpr& k : keys) {
-        const Value* cell = nullptr;
-        EXPLAINIT_RETURN_IF_ERROR(k.Get(batch, r, &cell));
-        const std::string* s = cell->TryString();
-        if (s != nullptr) {
-          keybuf += *s;
-        } else {
-          keybuf += cell->ToString();
-        }
-        keybuf += '\x1f';
-      }
-      key_view = keybuf;
-    }
-    auto it = local->index.find(key_view);
-    if (it == local->index.end()) {
-      it = local->index
-               .emplace(std::string(key_view), local->groups.size())
-               .first;
-      local->order.push_back(&it->first);
-      GroupPartial g;
-      g.first_batch = batch_index;
-      g.first_row = static_cast<uint32_t>(r);
-      local->groups.push_back(g);
-      local->slots.resize(local->slots.size() + num_slots);
-    }
-    GroupPartial& g = local->groups[it->second];
-    PartialState* slots = local->slots.data() + it->second * num_slots;
-    ++g.rows;
-    for (size_t i = 0; i < num_slots; ++i) {
-      if (args[i].star) continue;
-      PartialState& st = slots[i];
-      if (!st.error.ok()) continue;
-      const Value* cell = nullptr;
-      Status s = args[i].expr.Get(batch, r, &cell);
-      if (!s.ok()) {
-        st.error = std::move(s);  // deferred, as in the generic path
-        continue;
-      }
-      if (cell->is_null()) continue;
-      st.Accumulate(cell->AsDouble());
-    }
-  }
-  return true;
-}
-
-Result<ColumnBatch> HashAggregateOperator::PartialNext(bool* eof) {
+Result<ColumnBatch> HashAggregateOperator::PartialNext() {
   // Morsel source: buffer the child's own batches when their storage is
   // stable (and the pre-aggregation rows need not be retained), else
   // drain once and shard the materialised rows.
@@ -462,27 +352,18 @@ Result<ColumnBatch> HashAggregateOperator::PartialNext(bool* eof) {
   size_t total_rows = 0;
   for (const ColumnBatch& m : morsels_) total_rows += m.num_rows();
 
-  if (total_rows == 0 && !stmt_->group_by.empty()) {
-    *eof = false;
-    stats_.detail = "0 groups (partial)";
-    return EmitRows(std::vector<std::vector<Value>>(schema_.num_fields()), 0);
-  }
   if (total_rows == 0) {
-    // Global aggregate over an empty input: aggregates yield NULL/0.
-    std::vector<std::vector<Value>> cols(schema_.num_fields());
-    for (size_t i = 0; i < stmt_->items.size(); ++i) {
-      const SelectItem& item = stmt_->items[i];
-      if (item.expr->kind == ExprKind::kFunction &&
-          (item.expr->function_name == "COUNT" ||
-           item.expr->function_name == "__SUM_COUNT")) {
-        cols[i].push_back(Value::Int(0));
-      } else {
-        cols[i].push_back(Value::Null());
-      }
-    }
-    *eof = false;
-    stats_.detail = "1 group (partial)";
-    return EmitRows(std::move(cols), 1);
+    stats_.detail = stmt_->group_by.empty() ? "1 group (partial)"
+                                            : "0 groups (partial)";
+    if (stmt_->group_by.empty()) return EmptyGlobalRow();
+    return EmitRows(std::vector<std::vector<Value>>(schema_.num_fields()),
+                    {});
+  }
+
+  // Bind once per distinct morsel schema, before the fan-out.
+  std::vector<const Bindings*> morsel_bindings;
+  for (const ColumnBatch& m : morsels_) {
+    morsel_bindings.push_back(&BindFor(m.schema()));
   }
 
   // Assign contiguous batch runs to shards, balancing by row count. The
@@ -517,17 +398,9 @@ Result<ColumnBatch> HashAggregateOperator::PartialNext(bool* eof) {
         // Upper bound on this shard's group count: no rehash mid-shard.
         local.index.reserve(run_rows);
         for (size_t b = runs[s].first; b < runs[s].second; ++b) {
-          const ColumnBatch& batch = morsels_[b];
-          bool done = false;
-          if (kernel_ok_) {
-            EXPLAINIT_ASSIGN_OR_RETURN(
-                done, PartialAccumulateKernel(
-                          batch, static_cast<uint32_t>(b), &local));
-          }
-          if (!done) {
-            EXPLAINIT_RETURN_IF_ERROR(PartialAccumulateGeneric(
-                batch, static_cast<uint32_t>(b), &local));
-          }
+          EXPLAINIT_RETURN_IF_ERROR(
+              PartialAccumulate(morsels_[b], *morsel_bindings[b],
+                                static_cast<uint32_t>(b), &local));
         }
         return Status::OK();
       }));
@@ -578,70 +451,12 @@ Result<ColumnBatch> HashAggregateOperator::PartialNext(bool* eof) {
     }
   }
 
-  // Finalisation: substitute merged partials for the aggregate nodes and
-  // evaluate HAVING + the select list per group, in parallel over groups.
-  // Items that are exactly one aggregate call or one simple column /
-  // tag-subscript bypass the expression walk entirely (when every morsel
-  // shares a schema the simple accessors bind once, up front).
+  // Finalisation: merged partials fill the aggregate slots; HAVING and
+  // the select list evaluate per group, in parallel over groups.
   const size_t num_groups = merged.groups.size();
   std::vector<char> keep(num_groups, 1);
   std::vector<std::vector<Value>> values(schema_.num_fields());
   for (auto& col : values) col.resize(num_groups);
-
-  auto finalize_slot = [&](const Expr& agg, const GroupPartial& g,
-                           const PartialState& st) -> Result<Value> {
-    if (!st.error.ok()) return st.error;
-    const std::string& n = agg.function_name;
-    if (n == "COUNT") {
-      return agg.args[0]->kind == ExprKind::kStar
-                 ? Value::Int(static_cast<int64_t>(g.rows))
-                 : Value::Int(st.non_null);
-    }
-    if (n == "__SUM_COUNT") {
-      return st.non_null == 0 ? Value::Int(0)
-                              : Value::Int(std::llround(st.sum));
-    }
-    if (st.non_null == 0) return Value::Null();
-    if (n == "SUM") return Value::Double(st.sum);
-    if (n == "AVG") {
-      return Value::Double(st.sum / static_cast<double>(st.non_null));
-    }
-    if (n == "MIN") return Value::Double(st.min);
-    return Value::Double(st.max);  // MAX
-  };
-
-  bool uniform_schema = true;
-  for (const ColumnBatch& m : morsels_) {
-    if (&m.schema() != &morsels_[0].schema()) {
-      uniform_schema = false;
-      break;
-    }
-  }
-  struct ItemPlan {
-    enum class Kind { kAggSlot, kSimple, kGeneric } kind = Kind::kGeneric;
-    size_t slot = 0;
-    BoundSimpleExpr bound;
-  };
-  std::vector<ItemPlan> plans(stmt_->items.size());
-  for (size_t i = 0; i < stmt_->items.size(); ++i) {
-    const Expr& e = *stmt_->items[i].expr;
-    ItemPlan& plan = plans[i];
-    auto slot_it = slot_of_.find(&e);
-    if (slot_it != slot_of_.end()) {
-      plan.kind = ItemPlan::Kind::kAggSlot;
-      plan.slot = slot_it->second;
-      continue;
-    }
-    if (!uniform_schema || e.ContainsAggregate()) continue;
-    auto simple = CompileSimpleExpr(e);
-    if (!simple.has_value()) continue;
-    Evaluator schema_ev(&morsels_[0].schema(), functions_);
-    auto bound = BindSimpleExpr(*simple, schema_ev);
-    if (!bound.ok()) continue;
-    plan.kind = ItemPlan::Kind::kSimple;
-    plan.bound = std::move(bound).value();
-  }
-
   const std::vector<RowRange> group_shards =
       ShardRows(num_groups, ctx_->parallelism);
   EXPLAINIT_RETURN_IF_ERROR(RunSharded(
@@ -649,77 +464,100 @@ Result<ColumnBatch> HashAggregateOperator::PartialNext(bool* eof) {
         for (size_t gi = group_shards[s].begin; gi < group_shards[s].end;
              ++gi) {
           const GroupPartial& g = merged.groups[gi];
-          const PartialState* slots =
-              merged.slots.data() + gi * num_slots;
-          AggEvalFn agg_eval = [&](const Expr& agg) -> Result<Value> {
-            auto it = slot_of_.find(&agg);
-            if (it == slot_of_.end()) {
-              return Status::Internal("unregistered aggregate node");
+          const PartialState* states = merged.slots.data() + gi * num_slots;
+          auto fill = [&](size_t begin, size_t end,
+                          std::vector<Result<Value>>* slots) {
+            for (size_t i = begin; i < end; ++i) {
+              const PartialState& st = states[i];
+              const std::string& n = agg_nodes_[i]->function_name;
+              Result<Value>& out = (*slots)[i];
+              if (!st.error.ok()) {
+                out = st.error;
+              } else if (n == "COUNT") {
+                out = Value::Int(count_star_[i]
+                                     ? static_cast<int64_t>(g.rows)
+                                     : st.non_null);
+              } else if (n == "__SUM_COUNT") {
+                out = Value::Int(st.non_null == 0 ? 0 : std::llround(st.sum));
+              } else if (st.non_null == 0) {
+                out = Value::Null();
+              } else if (n == "SUM") {
+                out = Value::Double(st.sum);
+              } else if (n == "AVG") {
+                out = Value::Double(st.sum / static_cast<double>(st.non_null));
+              } else {
+                out = Value::Double(n == "MIN" ? st.min : st.max);
+              }
             }
-            return finalize_slot(agg, g, slots[it->second]);
           };
-          if (stmt_->having != nullptr) {
-            Evaluator ev(&morsels_[g.first_batch], functions_);
-            EXPLAINIT_ASSIGN_OR_RETURN(
-                Value v, EvalGroupExpr(*stmt_->having, ev, g.first_row,
-                                       agg_eval));
-            if (v.is_null() || !v.AsBool()) {
-              keep[gi] = 0;
-              continue;
-            }
-          }
-          for (size_t i = 0; i < stmt_->items.size(); ++i) {
-            const ItemPlan& plan = plans[i];
-            if (plan.kind == ItemPlan::Kind::kAggSlot) {
-              EXPLAINIT_ASSIGN_OR_RETURN(
-                  Value v, finalize_slot(*stmt_->items[i].expr, g,
-                                         slots[plan.slot]));
-              values[i][gi] = std::move(v);
-              continue;
-            }
-            if (plan.kind == ItemPlan::Kind::kSimple) {
-              const Value* cell = nullptr;
-              EXPLAINIT_RETURN_IF_ERROR(plan.bound.Get(
-                  morsels_[g.first_batch], g.first_row, &cell));
-              values[i][gi] = *cell;
-              continue;
-            }
-            Evaluator ev(&morsels_[g.first_batch], functions_);
-            EXPLAINIT_ASSIGN_OR_RETURN(
-                Value v, EvalGroupExpr(*stmt_->items[i].expr, ev,
-                                       g.first_row, agg_eval));
-            values[i][gi] = std::move(v);
-          }
+          EXPLAINIT_RETURN_IF_ERROR(
+              EvalGroup(*morsel_bindings[g.first_batch],
+                        morsels_[g.first_batch], g.first_row, fill, gi,
+                        &keep, &values));
         }
         return Status::OK();
       }));
 
-  *eof = false;
   stats_.detail = std::to_string(num_groups) + " groups (partial, " +
                   std::to_string(runs.size()) + " shards)";
-  if (stmt_->having == nullptr) {
-    // Nothing can drop a group: the per-group arrays are the output.
-    return EmitRows(std::move(values), num_groups);
-  }
-  // Compact kept groups in first-appearance order.
-  std::vector<std::vector<Value>> cols(schema_.num_fields());
-  size_t out_rows = 0;
-  for (size_t gi = 0; gi < num_groups; ++gi) {
-    if (!keep[gi]) continue;
-    for (size_t c = 0; c < cols.size(); ++c) {
-      cols[c].push_back(std::move(values[c][gi]));
-    }
-    ++out_rows;
-  }
-  return EmitRows(std::move(cols), out_rows);
+  return EmitRows(std::move(values), keep);
 }
 
 // ---------------------------------------------------------------------------
-// Parallel index mode (non-decomposable aggregates)
+// Serial and parallel index modes: row-index groups, per-group evaluation
 // ---------------------------------------------------------------------------
 
-Result<ColumnBatch> HashAggregateOperator::IndexNext(bool* eof) {
+Status HashAggregateOperator::GroupRows(const std::vector<BoundExpr>& keys,
+                                        const ColumnBatch& batch,
+                                        size_t base) {
+  std::string key;
+  for (size_t r = 0; r < batch.num_rows(); ++r) {
+    bool matchable = true;
+    EXPLAINIT_RETURN_IF_ERROR(EncodeRowKey(keys, batch, r, &key, &matchable));
+    auto [it, inserted] = groups_.try_emplace(key);
+    if (inserted) group_order_.push_back(key);
+    it->second.push_back(base + r);
+  }
+  return Status::OK();
+}
+
+Result<ColumnBatch> HashAggregateOperator::FinishGroups(
+    const ColumnBatch& input) {
+  // A global aggregate is one group even over zero rows.
+  if (group_order_.empty() && stmt_->group_by.empty()) {
+    return EmptyGlobalRow();
+  }
+  const Bindings& b = BindFor(input.schema());
+  const size_t num_groups = group_order_.size();
+  std::vector<char> keep(num_groups, 1);
+  std::vector<std::vector<Value>> values(schema_.num_fields());
+  for (auto& col : values) col.resize(num_groups);
+  const std::vector<RowRange> group_shards =
+      ShardRows(num_groups, EffectiveParallelism(ctx_));
+  EXPLAINIT_RETURN_IF_ERROR(RunSharded(
+      ctx_, group_shards.size(), [&](size_t s) -> Status {
+        for (size_t gi = group_shards[s].begin; gi < group_shards[s].end;
+             ++gi) {
+          const std::vector<size_t>& rows = groups_.at(group_order_[gi]);
+          auto fill = [&](size_t begin, size_t end,
+                          std::vector<Result<Value>>* slots) {
+            for (size_t i = begin; i < end; ++i) {
+              (*slots)[i] =
+                  ComputeAggregate(*agg_nodes_[i], b.agg_args[i], input, rows);
+            }
+          };
+          EXPLAINIT_RETURN_IF_ERROR(
+              EvalGroup(b, input, rows[0], fill, gi, &keep, &values));
+        }
+        return Status::OK();
+      }));
+  return EmitRows(std::move(values), keep);
+}
+
+Result<ColumnBatch> HashAggregateOperator::IndexNext() {
   EXPLAINIT_RETURN_IF_ERROR(MaterializeInputShards());
+  const ColumnBatch input = ColumnBatch::View(acc_, 0, acc_.num_rows());
+  const std::vector<BoundExpr>& keys = BindFor(acc_.schema()).keys;
   const std::vector<RowRange> shards =
       ShardRows(acc_.num_rows(), ctx_->parallelism);
 
@@ -730,209 +568,70 @@ Result<ColumnBatch> HashAggregateOperator::IndexNext(bool* eof) {
     std::vector<const std::string*> order;
   };
   std::vector<ShardIndex> locals(shards.size());
-  if (!stmt_->group_by.empty()) {
-    EXPLAINIT_RETURN_IF_ERROR(RunSharded(
-        ctx_, shards.size(), [&](size_t s) -> Status {
-          ShardIndex& local = locals[s];
-          Evaluator ev(&acc_, functions_);
-          std::vector<Value> key;
-          for (size_t r = shards[s].begin; r < shards[s].end; ++r) {
-            key.clear();
-            for (const ExprPtr& g : stmt_->group_by) {
-              EXPLAINIT_ASSIGN_OR_RETURN(Value v, ev.Eval(*g, r));
-              key.push_back(std::move(v));
-            }
-            auto [it, inserted] =
-                local.groups.try_emplace(EncodeKey(key, nullptr));
-            if (inserted) local.order.push_back(&it->first);
-            it->second.push_back(r);
-          }
-          return Status::OK();
-        }));
-    // Merge in shard order: concatenation keeps row indices ascending and
-    // first-appearance order identical to the serial pipeline.
-    for (ShardIndex& local : locals) {
-      for (const std::string* k : local.order) {
-        std::vector<size_t>& rows = local.groups.at(*k);
-        auto [it, inserted] = groups_.try_emplace(*k);
-        if (inserted) {
-          group_order_.push_back(*k);
-          it->second = std::move(rows);
-        } else {
-          it->second.insert(it->second.end(), rows.begin(), rows.end());
-        }
-      }
-    }
-  } else {
-    std::vector<size_t> all(acc_.num_rows());
-    std::iota(all.begin(), all.end(), size_t{0});
-    groups_[""] = std::move(all);
-    group_order_.push_back("");
-  }
-
-  // Phase 2: the serial per-group evaluation, fanned out across groups.
-  Evaluator ev(&acc_, functions_);
-  const size_t num_groups = group_order_.size();
-  std::vector<char> keep(num_groups, 1);
-  std::vector<std::vector<Value>> values(schema_.num_fields());
-  for (auto& col : values) col.resize(num_groups);
-  const std::vector<RowRange> group_shards =
-      ShardRows(num_groups, ctx_->parallelism);
   EXPLAINIT_RETURN_IF_ERROR(RunSharded(
-      ctx_, group_shards.size(), [&](size_t s) -> Status {
-        for (size_t gi = group_shards[s].begin; gi < group_shards[s].end;
-             ++gi) {
-          const std::vector<size_t>& rows = groups_.at(group_order_[gi]);
-          if (rows.empty() && !stmt_->group_by.empty()) {
-            keep[gi] = 0;
-            continue;
-          }
-          if (stmt_->having != nullptr && !rows.empty()) {
-            EXPLAINIT_ASSIGN_OR_RETURN(
-                Value v, EvalInGroup(*stmt_->having, ev, rows));
-            if (v.is_null() || !v.AsBool()) {
-              keep[gi] = 0;
-              continue;
-            }
-          }
-          if (rows.empty()) {
-            // Global aggregate over an empty table: NULL/0 per item.
-            for (size_t i = 0; i < stmt_->items.size(); ++i) {
-              const SelectItem& item = stmt_->items[i];
-              values[i][gi] =
-                  item.expr->kind == ExprKind::kFunction &&
-                          (item.expr->function_name == "COUNT" ||
-                           item.expr->function_name == "__SUM_COUNT")
-                      ? Value::Int(0)
-                      : Value::Null();
-            }
-            continue;
-          }
-          for (size_t i = 0; i < stmt_->items.size(); ++i) {
-            EXPLAINIT_ASSIGN_OR_RETURN(
-                Value v, EvalInGroup(*stmt_->items[i].expr, ev, rows));
-            values[i][gi] = std::move(v);
-          }
+      ctx_, shards.size(), [&](size_t s) -> Status {
+        ShardIndex& local = locals[s];
+        std::string key;
+        for (size_t r = shards[s].begin; r < shards[s].end; ++r) {
+          bool matchable = true;
+          EXPLAINIT_RETURN_IF_ERROR(
+              EncodeRowKey(keys, input, r, &key, &matchable));
+          auto [it, inserted] = local.groups.try_emplace(key);
+          if (inserted) local.order.push_back(&it->first);
+          it->second.push_back(r);
         }
         return Status::OK();
       }));
-
-  *eof = false;
-  stats_.detail = std::to_string(num_groups) + " groups (" +
-                  std::to_string(shards.size()) + " shards)";
-  if (stmt_->having == nullptr && !stmt_->group_by.empty()) {
-    // No HAVING and every group holds at least one row: nothing drops.
-    return EmitRows(std::move(values), num_groups);
-  }
-  std::vector<std::vector<Value>> cols(schema_.num_fields());
-  size_t out_rows = 0;
-  for (size_t gi = 0; gi < num_groups; ++gi) {
-    if (!keep[gi]) continue;
-    for (size_t c = 0; c < cols.size(); ++c) {
-      cols[c].push_back(std::move(values[c][gi]));
+  // Merge in shard order: concatenation keeps row indices ascending and
+  // first-appearance order identical to the serial pipeline.
+  for (ShardIndex& local : locals) {
+    for (const std::string* k : local.order) {
+      std::vector<size_t>& rows = local.groups.at(*k);
+      auto [it, inserted] = groups_.try_emplace(*k);
+      if (inserted) {
+        group_order_.push_back(*k);
+        it->second = std::move(rows);
+      } else {
+        it->second.insert(it->second.end(), rows.begin(), rows.end());
+      }
     }
-    ++out_rows;
   }
-  return EmitRows(std::move(cols), out_rows);
+
+  // Phase 2: the per-group evaluation, fanned out across groups.
+  EXPLAINIT_ASSIGN_OR_RETURN(ColumnBatch out, FinishGroups(input));
+  stats_.detail = std::to_string(group_order_.size()) + " groups (" +
+                  std::to_string(shards.size()) + " shards)";
+  return out;
 }
 
-// ---------------------------------------------------------------------------
-// Serial mode (parallelism 1, or LAG anywhere in the grouped stages)
-// ---------------------------------------------------------------------------
-
-Result<ColumnBatch> HashAggregateOperator::SerialNext(bool* eof) {
+Result<ColumnBatch> HashAggregateOperator::SerialNext() {
   // Phase 1: consume batches, grouping rows incrementally. Keys are
   // evaluated against each batch; row payloads accumulate column-wise.
   // Keys containing LAG read neighbouring rows, so they are evaluated
   // only after the whole input has accumulated.
   retained_ptr_ = &acc_;
-  bool lag_in_keys = false;
-  for (const ExprPtr& g : stmt_->group_by) {
-    if (ContainsLag(*g)) lag_in_keys = true;
-  }
+  const bool lag_in_keys =
+      std::any_of(stmt_->group_by.begin(), stmt_->group_by.end(),
+                  [](const ExprPtr& g) { return ContainsLag(*g); });
   bool child_eof = false;
   while (true) {
     EXPLAINIT_ASSIGN_OR_RETURN(ColumnBatch batch, input_->Next(&child_eof));
     if (child_eof) break;
-    if (!stmt_->group_by.empty() && !lag_in_keys) {
-      Evaluator ev(&batch, functions_);
-      const size_t base = acc_.num_rows();
-      std::vector<Value> key;
-      for (size_t r = 0; r < batch.num_rows(); ++r) {
-        key.clear();
-        for (const ExprPtr& g : stmt_->group_by) {
-          EXPLAINIT_ASSIGN_OR_RETURN(Value v, ev.Eval(*g, r));
-          key.push_back(std::move(v));
-        }
-        const std::string encoded = EncodeKey(key, nullptr);
-        auto [it, inserted] = groups_.try_emplace(encoded);
-        if (inserted) group_order_.push_back(encoded);
-        it->second.push_back(base + r);
-      }
+    if (!lag_in_keys) {
+      EXPLAINIT_RETURN_IF_ERROR(
+          GroupRows(BindFor(batch.schema()).keys, batch, acc_.num_rows()));
     }
     batch.AppendTo(&acc_);
   }
+  const ColumnBatch input = ColumnBatch::View(acc_, 0, acc_.num_rows());
   if (lag_in_keys) {
-    Evaluator full_ev(&acc_, functions_);
-    std::vector<Value> key;
-    for (size_t r = 0; r < acc_.num_rows(); ++r) {
-      key.clear();
-      for (const ExprPtr& g : stmt_->group_by) {
-        EXPLAINIT_ASSIGN_OR_RETURN(Value v, full_ev.Eval(*g, r));
-        key.push_back(std::move(v));
-      }
-      const std::string encoded = EncodeKey(key, nullptr);
-      auto [it, inserted] = groups_.try_emplace(encoded);
-      if (inserted) group_order_.push_back(encoded);
-      it->second.push_back(r);
-    }
-  }
-  if (stmt_->group_by.empty()) {
-    // Global aggregate: one group with every row (even zero rows).
-    std::vector<size_t> all(acc_.num_rows());
-    std::iota(all.begin(), all.end(), size_t{0});
-    groups_[""] = std::move(all);
-    group_order_.push_back("");
+    EXPLAINIT_RETURN_IF_ERROR(GroupRows(BindFor(acc_.schema()).keys, input, 0));
   }
 
   // Phase 2: evaluate the select list per group.
-  Evaluator ev(&acc_, functions_);
-  std::vector<std::vector<Value>> out_cols(schema_.num_fields());
-  size_t out_rows = 0;
-  for (const std::string& key : group_order_) {
-    const std::vector<size_t>& rows = groups_[key];
-    if (rows.empty() && !stmt_->group_by.empty()) continue;
-    // HAVING runs in group context so it can reference aggregates that are
-    // not in the select list.
-    if (stmt_->having != nullptr && !rows.empty()) {
-      EXPLAINIT_ASSIGN_OR_RETURN(Value keep,
-                                 EvalInGroup(*stmt_->having, ev, rows));
-      if (keep.is_null() || !keep.AsBool()) continue;
-    }
-    if (rows.empty()) {
-      // Global aggregate over an empty table: aggregates yield NULL/0.
-      for (size_t i = 0; i < stmt_->items.size(); ++i) {
-        const SelectItem& item = stmt_->items[i];
-        if (item.expr->kind == ExprKind::kFunction &&
-            (item.expr->function_name == "COUNT" ||
-             item.expr->function_name == "__SUM_COUNT")) {
-          out_cols[i].push_back(Value::Int(0));
-        } else {
-          out_cols[i].push_back(Value::Null());
-        }
-      }
-    } else {
-      for (size_t i = 0; i < stmt_->items.size(); ++i) {
-        EXPLAINIT_ASSIGN_OR_RETURN(
-            Value v, EvalInGroup(*stmt_->items[i].expr, ev, rows));
-        out_cols[i].push_back(std::move(v));
-      }
-    }
-    ++out_rows;
-  }
-  *eof = false;
+  EXPLAINIT_ASSIGN_OR_RETURN(ColumnBatch out, FinishGroups(input));
   stats_.detail = std::to_string(group_order_.size()) + " groups";
-  return EmitRows(std::move(out_cols), out_rows);
+  return out;
 }
 
 }  // namespace explainit::sql

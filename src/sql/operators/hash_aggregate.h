@@ -24,13 +24,10 @@
 #pragma once
 
 #include <algorithm>
-#include <optional>
-#include <string_view>
 #include <unordered_map>
 
-#include "sql/evaluator.h"
+#include "sql/bound_expr.h"
 #include "sql/operators/operator.h"
-#include "sql/operators/simple_expr.h"
 
 namespace explainit::sql {
 
@@ -70,8 +67,7 @@ class HashAggregateOperator : public Operator {
     int64_t non_null = 0;
     Status error;
 
-    /// Folds one non-null argument value in (kernel and generic
-    /// accumulation share this so their numerics cannot diverge).
+    /// Folds one non-null argument value in.
     void Accumulate(double d) {
       if (non_null == 0) {
         min = d;
@@ -89,48 +85,56 @@ class HashAggregateOperator : public Operator {
     uint32_t first_row = 0;
     size_t rows = 0;
   };
-  /// Heterogeneous-lookup hash (group probes use string_view keys built
-  /// in reused buffers; only insertions construct a std::string).
-  struct TransparentStringHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-  using GroupIndexMap =
-      std::unordered_map<std::string, size_t, TransparentStringHash,
-                         std::equal_to<>>;
-
   /// One worker's hash table plus first-seen key order. Groups and their
   /// flat slot states live in contiguous arrays (groups[i]'s slot j is
   /// slots[i * num_slots + j]) — no per-group heap allocation — and the
   /// order vector borrows the map's node-stable key storage.
   struct ShardGroups {
-    GroupIndexMap index;
+    std::unordered_map<std::string, size_t> index;
     std::vector<const std::string*> order;  // keys in first-seen order
     std::vector<GroupPartial> groups;       // parallel to `order`
     std::vector<PartialState> slots;        // groups.size() * num_slots
   };
 
-  Result<table::ColumnBatch> SerialNext(bool* eof);
-  Result<table::ColumnBatch> PartialNext(bool* eof);
-  Result<table::ColumnBatch> IndexNext(bool* eof);
-  /// Generic per-batch partial accumulation (Evaluator-based).
-  Status PartialAccumulateGeneric(const table::ColumnBatch& batch,
-                                  uint32_t batch_index, ShardGroups* local);
-  /// Compiled kernel: direct column accessors for group keys and
-  /// aggregate arguments, string_view group probes, no per-row Evaluator.
-  /// Returns false (without touching `local`) when the batch's schema
-  /// does not bind — the caller falls back to the generic path.
-  Result<bool> PartialAccumulateKernel(const table::ColumnBatch& batch,
-                                       uint32_t batch_index,
-                                       ShardGroups* local);
+  /// Every expression of the statement bound to one input schema.
+  struct Bindings {
+    std::vector<BoundExpr> keys;
+    std::vector<std::vector<BoundExpr>> agg_args;  // per aggregate slot
+    std::vector<BoundExpr> items;                  // group context
+    BoundExpr having;                              // group context
+  };
+  /// Binds once per input schema object (not thread-safe: bind before
+  /// fanning out).
+  const Bindings& BindFor(const table::Schema& schema);
+  Result<table::ColumnBatch> SerialNext();
+  Result<table::ColumnBatch> PartialNext();
+  Result<table::ColumnBatch> IndexNext();
+  /// Adds rows of `batch` to groups_ (row indices offset by `base`).
+  Status GroupRows(const std::vector<BoundExpr>& keys,
+                   const table::ColumnBatch& batch, size_t base);
+  /// Folds one batch into a shard's partial states.
+  Status PartialAccumulate(const table::ColumnBatch& batch,
+                           const Bindings& b, uint32_t batch_index,
+                           ShardGroups* local) const;
   /// Drains the input into acc_ and exposes it as one view batch per row
   /// shard (the morsel source for the drained parallel variants).
   Status MaterializeInputShards();
-  /// Builds the final output batch given per-group item/HAVING values.
+  /// Evaluates HAVING, then (if the group survives) every select item of
+  /// group `gi`, whose representative row is `rep` of `input`.
+  /// fill(begin, end, &slots) computes aggregate slots [begin, end).
+  template <typename Fill>
+  Status EvalGroup(const Bindings& b, const table::ColumnBatch& input,
+                   size_t rep, const Fill& fill, size_t gi,
+                   std::vector<char>* keep,
+                   std::vector<std::vector<table::Value>>* values) const;
+  /// Per-group evaluation over groups_ (serial and index modes).
+  Result<table::ColumnBatch> FinishGroups(const table::ColumnBatch& input);
+  /// The single row of a global aggregate over an empty input.
+  table::ColumnBatch EmptyGlobalRow();
+  /// Builds the output batch from per-group values, dropping groups
+  /// HAVING rejected.
   table::ColumnBatch EmitRows(std::vector<std::vector<table::Value>> cols,
-                              size_t rows);
+                              const std::vector<char>& keep);
 
   Operator* input_;
   const SelectStatement* stmt_;
@@ -145,22 +149,15 @@ class HashAggregateOperator : public Operator {
   std::vector<std::string> group_order_;
   bool done_ = false;
 
-  // Parallel-mode state, resolved at Open().
+  // Resolved at Open().
   bool lag_anywhere_ = false;
   bool partial_ok_ = false;
   std::vector<const Expr*> agg_nodes_;  // topmost aggregate calls
-  std::unordered_map<const Expr*, size_t> slot_of_;
+  size_t having_slots_ = 0;  // slots [having_slots_, end) are HAVING's
+  std::vector<char> count_star_;  // per slot: COUNT(*)
+  std::vector<std::unique_ptr<Bindings>> bindings_;
+  std::vector<const table::Schema*> bound_schemas_;  // parallel to bindings_
   std::vector<table::ColumnBatch> morsels_;  // buffered/viewed input
-
-  // Kernel eligibility: every group key and aggregate argument is a
-  // plain column or tag-subscript (COUNT(*) needs no argument).
-  struct SlotArg {
-    bool star = false;
-    SimpleExpr expr;
-  };
-  bool kernel_ok_ = false;
-  std::vector<SimpleExpr> simple_keys_;
-  std::vector<SlotArg> simple_args_;
 };
 
 }  // namespace explainit::sql

@@ -15,18 +15,18 @@ namespace {
 /// morsel default grain (1024) would never split them.
 constexpr size_t kProbeShardMinRows = 128;
 
-bool ResolvesAgainst(const Expr& e, const Evaluator& ev) {
+bool ResolvesAgainst(const Expr& e, const Schema& schema) {
   // An expression "belongs" to a side when every column it references
   // resolves there.
   switch (e.kind) {
     case ExprKind::kColumnRef:
-      return ev.ResolveColumn(e).ok();
+      return ResolveColumn(schema, e).ok();
     case ExprKind::kLiteral:
     case ExprKind::kStar:
       return true;
     default: {
       auto check = [&](const ExprPtr& c) {
-        return c == nullptr || ResolvesAgainst(*c, ev);
+        return c == nullptr || ResolvesAgainst(*c, schema);
       };
       if (!check(e.left) || !check(e.right) || !check(e.between_lo) ||
           !check(e.between_hi) || !check(e.case_else)) {
@@ -48,8 +48,8 @@ bool ResolvesAgainst(const Expr& e, const Evaluator& ev) {
 
 }  // namespace
 
-EquiKeys SplitJoinCondition(const Expr* condition, const Evaluator& left_ev,
-                            const Evaluator& right_ev) {
+EquiKeys SplitJoinCondition(const Expr* condition, const Schema& left,
+                            const Schema& right) {
   EquiKeys keys;
   if (condition == nullptr) return keys;
   std::vector<const Expr*> conjuncts;
@@ -58,12 +58,12 @@ EquiKeys SplitJoinCondition(const Expr* condition, const Evaluator& left_ev,
     if (c->kind == ExprKind::kBinary && c->binary_op == BinaryOp::kEq) {
       const Expr* l = c->left.get();
       const Expr* r = c->right.get();
-      if (ResolvesAgainst(*l, left_ev) && ResolvesAgainst(*r, right_ev)) {
+      if (ResolvesAgainst(*l, left) && ResolvesAgainst(*r, right)) {
         keys.left_exprs.push_back(l);
         keys.right_exprs.push_back(r);
         continue;
       }
-      if (ResolvesAgainst(*r, left_ev) && ResolvesAgainst(*l, right_ev)) {
+      if (ResolvesAgainst(*r, left) && ResolvesAgainst(*l, right)) {
         keys.left_exprs.push_back(r);
         keys.right_exprs.push_back(l);
         continue;
@@ -120,9 +120,7 @@ Status HashJoinOperator::OpenImpl() {
   build_width_ = build_left_ ? left_width_ : right_width_;
   probe_width_ = build_left_ ? right_width_ : left_width_;
 
-  Evaluator left_ev(&ls, functions_);
-  Evaluator right_ev(&rs, functions_);
-  keys_ = SplitJoinCondition(join_->condition.get(), left_ev, right_ev);
+  keys_ = SplitJoinCondition(join_->condition.get(), ls, rs);
   for (const Expr* e : keys_.residual) {
     if (ContainsLag(*e)) lag_in_condition_ = true;
   }
@@ -139,9 +137,18 @@ Status HashJoinOperator::OpenImpl() {
   Operator* build = build_left_ ? left_ : right_;
   build_table_ = table::Table(build->output_schema());
   EXPLAINIT_RETURN_IF_ERROR(Drain(build, &build_table_));
-  const std::vector<const Expr*>& build_exprs =
-      build_left_ ? keys_.left_exprs : keys_.right_exprs;
-  probe_exprs_ = build_left_ ? keys_.right_exprs : keys_.left_exprs;
+  const ColumnBatch build_view =
+      ColumnBatch::View(build_table_, 0, build_table_.num_rows());
+  std::vector<BoundExpr> build_keys;
+  for (const Expr* e : build_left_ ? keys_.left_exprs : keys_.right_exprs) {
+    build_keys.push_back(
+        BoundExpr::Bind(*e, build_table_.schema(), *functions_));
+  }
+  probe_keys_ = SchemaBoundExprs(
+      build_left_ ? keys_.right_exprs : keys_.left_exprs, functions_);
+  for (const Expr* e : keys_.residual) {
+    residual_.push_back(BoundExpr::Bind(*e, schema_, *functions_));
+  }
 
   const size_t n = build_table_.num_rows();
   parallel_ = ctx_ != nullptr && ctx_->parallel() && !lag_in_condition_;
@@ -165,19 +172,13 @@ Status HashJoinOperator::OpenImpl() {
       num_partitions_ > 1 ? shards.size() : 0);
   EXPLAINIT_RETURN_IF_ERROR(RunSharded(
       ctx_, shards.size(), [&](size_t s) -> Status {
-        Evaluator build_ev(&build_table_, functions_);
-        std::vector<Value> kv;
         if (num_partitions_ > 1) buckets[s].resize(num_partitions_);
         for (size_t j = shards[s].begin; j < shards[s].end; ++j) {
-          kv.clear();
-          bool has_null = false;
-          for (const Expr* e : build_exprs) {
-            EXPLAINIT_ASSIGN_OR_RETURN(Value v, build_ev.Eval(*e, j));
-            kv.push_back(std::move(v));
-          }
-          keys[j] = EncodeKey(kv, &has_null);
-          null_key[j] = has_null ? 1 : 0;
-          if (num_partitions_ > 1 && !has_null) {
+          bool matchable = true;
+          EXPLAINIT_RETURN_IF_ERROR(
+              EncodeRowKey(build_keys, build_view, j, &keys[j], &matchable));
+          null_key[j] = matchable ? 0 : 1;
+          if (num_partitions_ > 1 && matchable) {
             buckets[s][std::hash<std::string>{}(keys[j]) % num_partitions_]
                 .push_back(j);
           }
@@ -287,23 +288,19 @@ Result<ColumnBatch> HashJoinOperator::NextImpl(bool* eof) {
     };
     std::vector<ProbeShard> locals(shards.size());
     std::vector<char> probe_matched(rows, 0);  // disjoint writes per shard
+    const std::vector<BoundExpr>& probe_keys = probe_keys_.For(batch.schema());
     EXPLAINIT_RETURN_IF_ERROR(RunSharded(
         ctx_, shards.size(), [&](size_t s) -> Status {
           ProbeShard& local = locals[s];
-          Evaluator probe_ev(&batch, functions_);
           std::vector<std::vector<Value>> cand(schema_.num_fields());
           std::vector<uint32_t> cand_probe;
           std::vector<size_t> cand_build;
-          std::vector<Value> kv;
+          std::string key;
           for (size_t i = shards[s].begin; i < shards[s].end; ++i) {
-            kv.clear();
-            bool has_null = false;
-            for (const Expr* e : probe_exprs_) {
-              EXPLAINIT_ASSIGN_OR_RETURN(Value v, probe_ev.Eval(*e, i));
-              kv.push_back(std::move(v));
-            }
-            const std::string key = EncodeKey(kv, &has_null);
-            if (has_null) continue;
+            bool matchable = true;
+            EXPLAINIT_RETURN_IF_ERROR(
+                EncodeRowKey(probe_keys, batch, i, &key, &matchable));
+            if (!matchable) continue;
             const size_t p =
                 num_partitions_ > 1
                     ? std::hash<std::string>{}(key) % num_partitions_
@@ -321,7 +318,7 @@ Result<ColumnBatch> HashJoinOperator::NextImpl(bool* eof) {
 
           // Residual conjuncts filter the candidates; only passing rows
           // count as matches.
-          if (keys_.residual.empty()) {
+          if (residual_.empty()) {
             for (size_t k = 0; k < cand_probe.size(); ++k) {
               probe_matched[cand_probe[k]] = 1;
               local.matched_build.push_back(cand_build[k]);
@@ -330,18 +327,9 @@ Result<ColumnBatch> HashJoinOperator::NextImpl(bool* eof) {
             return Status::OK();
           }
           std::vector<uint32_t> kept;
-          Evaluator cand_ev(&cand_batch, functions_);
-          for (size_t k = 0; k < cand_batch.num_rows(); ++k) {
-            bool ok = true;
-            for (const Expr* r : keys_.residual) {
-              EXPLAINIT_ASSIGN_OR_RETURN(Value v, cand_ev.Eval(*r, k));
-              if (v.is_null() || !v.AsBool()) {
-                ok = false;
-                break;
-              }
-            }
-            if (!ok) continue;
-            kept.push_back(static_cast<uint32_t>(k));
+          EXPLAINIT_RETURN_IF_ERROR(SelectRows(
+              residual_, cand_batch, 0, cand_batch.num_rows(), &kept));
+          for (const uint32_t k : kept) {
             probe_matched[cand_probe[k]] = 1;
             local.matched_build.push_back(cand_build[k]);
           }

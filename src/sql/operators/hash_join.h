@@ -25,7 +25,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "sql/evaluator.h"
+#include "sql/bound_expr.h"
 #include "sql/operators/operator.h"
 
 namespace explainit::sql {
@@ -39,9 +39,9 @@ struct EquiKeys {
 };
 
 /// Splits `condition` by resolving each equality's sides against the two
-/// input schemas (schema-only Evaluators are sufficient).
-EquiKeys SplitJoinCondition(const Expr* condition, const Evaluator& left_ev,
-                            const Evaluator& right_ev);
+/// input schemas.
+EquiKeys SplitJoinCondition(const Expr* condition, const table::Schema& left,
+                            const table::Schema& right);
 
 class HashJoinOperator : public Operator {
  public:
@@ -99,7 +99,8 @@ class HashJoinOperator : public Operator {
   EquiKeys keys_;
   std::vector<BuildPartition> partitions_;
   size_t num_partitions_ = 1;
-  std::vector<const Expr*> probe_exprs_;  // key exprs of the probe side
+  SchemaBoundExprs probe_keys_;     // key exprs of the probe side
+  std::vector<BoundExpr> residual_;  // bound to the output schema
   std::vector<char> build_matched_;       // for outer pads
   size_t left_width_ = 0;
   size_t right_width_ = 0;

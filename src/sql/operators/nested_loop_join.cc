@@ -24,6 +24,10 @@ Status NestedLoopJoinOperator::OpenImpl() {
   right_width_ = rs.num_fields();
   for (const Field& f : ls.fields()) schema_.AddField(f);
   for (const Field& f : rs.fields()) schema_.AddField(f);
+  if (join_->condition != nullptr) {
+    condition_.push_back(
+        BoundExpr::Bind(*join_->condition, schema_, *functions_));
+  }
   right_table_ = table::Table(rs);
   EXPLAINIT_RETURN_IF_ERROR(Drain(right_, &right_table_));
   right_matched_.assign(right_table_.num_rows(), false);
@@ -87,24 +91,12 @@ Result<ColumnBatch> NestedLoopJoinOperator::NextImpl(bool* eof) {
     ColumnBatch cand_batch(&schema_, rn);
     for (auto& col : cand) cand_batch.AddOwnedColumn(std::move(col));
 
+    // No condition (CROSS JOIN) selects every pair.
     std::vector<uint32_t> kept;
-    bool matched = false;
-    if (join_->condition == nullptr) {
-      // CROSS JOIN: every pair survives.
-      kept.resize(rn);
-      for (size_t j = 0; j < rn; ++j) kept[j] = static_cast<uint32_t>(j);
-      matched = rn > 0;
-      for (size_t j = 0; j < rn; ++j) right_matched_[j] = true;
-    } else {
-      Evaluator ev(&cand_batch, functions_);
-      for (size_t j = 0; j < rn; ++j) {
-        EXPLAINIT_ASSIGN_OR_RETURN(Value v, ev.Eval(*join_->condition, j));
-        if (v.is_null() || !v.AsBool()) continue;
-        kept.push_back(static_cast<uint32_t>(j));
-        matched = true;
-        right_matched_[j] = true;
-      }
-    }
+    EXPLAINIT_RETURN_IF_ERROR(
+        SelectRows(condition_, cand_batch, 0, rn, &kept));
+    const bool matched = !kept.empty();
+    for (const uint32_t j : kept) right_matched_[j] = true;
     ColumnBatch out = cand_batch.Gather(kept);
     out.set_schema(&schema_);
     if (!matched && (join_->type == JoinType::kLeft ||

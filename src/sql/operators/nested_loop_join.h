@@ -6,7 +6,7 @@
 
 #include <vector>
 
-#include "sql/evaluator.h"
+#include "sql/bound_expr.h"
 #include "sql/operators/operator.h"
 
 namespace explainit::sql {
@@ -39,6 +39,7 @@ class NestedLoopJoinOperator : public Operator {
   const FunctionRegistry* functions_;
 
   table::Schema schema_;
+  std::vector<BoundExpr> condition_;  // bound to schema_; empty for CROSS
   table::Table right_table_;
   std::vector<bool> right_matched_;
   size_t left_width_ = 0;

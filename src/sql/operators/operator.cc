@@ -1,6 +1,8 @@
 #include "sql/operators/operator.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 namespace explainit::sql {
 
@@ -97,15 +99,63 @@ Status RunSharded(const ExecContext* ctx, size_t num_shards,
   return Status::OK();
 }
 
-std::string EncodeKey(const std::vector<table::Value>& values,
-                      bool* has_null) {
-  std::string key;
-  for (const table::Value& v : values) {
-    if (v.is_null() && has_null != nullptr) *has_null = true;
-    key += v.ToString();
-    key += '\x1f';
+namespace {
+void AppendLength(size_t n, std::string* key) {
+  const uint64_t len = n;
+  key->append(reinterpret_cast<const char*>(&len), sizeof(len));
+}
+}  // namespace
+
+bool EncodeKey(const table::Value& v, std::string* key) {
+  switch (v.type()) {
+    case table::DataType::kNull:
+      key->push_back('N');
+      return false;
+    case table::DataType::kDouble:
+    case table::DataType::kInt64:
+    case table::DataType::kTimestamp: {
+      double d = v.AsDouble();
+      if (d == 0.0) d = 0.0;  // -0.0 equals 0.0
+      const bool nan = std::isnan(d);
+      if (nan) d = std::numeric_limits<double>::quiet_NaN();
+      key->push_back('D');
+      key->append(reinterpret_cast<const char*>(&d), sizeof(d));
+      return !nan;
+    }
+    case table::DataType::kString: {
+      const std::string& s = *v.TryString();
+      key->push_back('S');
+      AppendLength(s.size(), key);
+      key->append(s);
+      return true;
+    }
+    case table::DataType::kMap: {
+      const table::ValueMap& m = *v.AsMap();
+      key->push_back('M');
+      AppendLength(m.size(), key);
+      bool matchable = true;
+      for (const auto& [k, val] : m) {
+        AppendLength(k.size(), key);
+        key->append(k);
+        if (!EncodeKey(val, key)) matchable = false;
+      }
+      return matchable;
+    }
   }
-  return key;
+  return false;
+}
+
+Status EncodeRowKey(const std::vector<BoundExpr>& exprs,
+                    const table::ColumnBatch& batch, size_t row,
+                    std::string* key, bool* matchable) {
+  key->clear();
+  for (const BoundExpr& e : exprs) {
+    table::Value tmp;
+    const table::Value* v = nullptr;
+    EXPLAINIT_RETURN_IF_ERROR(e.EvalRef(batch, row, &tmp, &v));
+    if (!EncodeKey(*v, key)) *matchable = false;
+  }
+  return Status::OK();
 }
 
 void CollectConjuncts(const Expr* e, std::vector<const Expr*>* out) {

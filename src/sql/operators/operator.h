@@ -21,6 +21,7 @@
 #include "common/result.h"
 #include "common/time_util.h"
 #include "sql/ast.h"
+#include "sql/bound_expr.h"
 #include "sql/exec_context.h"
 #include "table/column_batch.h"
 #include "table/table.h"
@@ -169,9 +170,20 @@ class Operator {
   const ExecContext* bound_ctx_ = nullptr;  // set by BindExecContext
 };
 
-/// Encodes a composite group/join key. '\x1f' never occurs in metric data.
-std::string EncodeKey(const std::vector<table::Value>& values,
-                      bool* has_null);
+/// Appends the group/join key encoding of `v` to *key: a tag per type
+/// class, every numeric type as its AsDouble() bits (-0.0 as 0.0), and
+/// strings and map keys length-prefixed, so composite keys concatenate
+/// without separators. Two non-null values encode equal exactly when
+/// Value::Equals holds; NULL has its own tag (it groups only with NULL).
+/// Returns false when `v` never equals anything (NULL, NaN, or a map
+/// holding one): join keys skip such rows.
+bool EncodeKey(const table::Value& v, std::string* key);
+
+/// Replaces *key with the encoding of row `row`'s values of `exprs`;
+/// *matchable turns false when a part never matches (see EncodeKey).
+Status EncodeRowKey(const std::vector<BoundExpr>& exprs,
+                    const table::ColumnBatch& batch, size_t row,
+                    std::string* key, bool* matchable);
 
 /// A contiguous run of input rows processed by one worker.
 struct RowRange {

@@ -21,6 +21,7 @@ ProjectOperator::ProjectOperator(std::unique_ptr<Operator> input,
 Status ProjectOperator::OpenImpl() {
   EXPLAINIT_RETURN_IF_ERROR(input_->Open());
   const table::Schema& in = input_->output_schema();
+  std::vector<const Expr*> computed;
   for (const SelectItem& item : stmt_->items) {
     if (item.is_star) {
       for (size_t c = 0; c < in.num_fields(); ++c) {
@@ -30,9 +31,12 @@ Status ProjectOperator::OpenImpl() {
       continue;
     }
     schema_.AddField(Field{ItemName(item), DataType::kNull});
-    columns_.push_back(OutputColumn{item.expr.get(), 0});
+    columns_.push_back(OutputColumn{item.expr.get(), computed.size()});
+    computed.push_back(item.expr.get());
     if (ContainsLag(*item.expr)) materialize_ = true;
   }
+  bound_ = SchemaBoundExprs(std::move(computed), functions_);
+  bound_.For(in);
   parallel_ = !materialize_ && ctx_ != nullptr && ctx_->parallel();
   // The parallel path may also drain into retained_ (its fallback morsel
   // source when the child's storage is not borrowable).
@@ -42,24 +46,18 @@ Status ProjectOperator::OpenImpl() {
   return Status::OK();
 }
 
-Result<ColumnBatch> ProjectOperator::ProjectRows(
-    const Evaluator& ev, size_t rows, const ColumnBatch* borrow) {
-  ColumnBatch out(&schema_, rows);
+Result<ColumnBatch> ProjectOperator::ProjectRows(const ColumnBatch& input,
+                                                 size_t begin, size_t end) {
+  const std::vector<BoundExpr>& items = bound_.For(input.schema());
+  ColumnBatch out(&schema_, end - begin);
   for (const OutputColumn& col : columns_) {
     if (col.expr == nullptr) {
-      if (borrow != nullptr) {
-        out.AddBorrowedColumn(borrow->column(col.pass_through));
-      } else {
-        out.AddBorrowedColumn(retained_.column(col.pass_through).data());
-      }
+      out.AddBorrowedColumn(input.column(col.index) + begin);
       continue;
     }
     std::vector<Value> values;
-    values.reserve(rows);
-    for (size_t r = 0; r < rows; ++r) {
-      EXPLAINIT_ASSIGN_OR_RETURN(Value v, ev.Eval(*col.expr, r));
-      values.push_back(std::move(v));
-    }
+    EXPLAINIT_RETURN_IF_ERROR(
+        items[col.index].Eval(input, begin, end, &values));
     out.AddOwnedColumn(std::move(values));
   }
   return out;
@@ -80,27 +78,13 @@ Result<ColumnBatch> ProjectOperator::ParallelNext(bool* eof) {
     retained_ptr_ = source;
     const std::vector<RowRange> shards =
         ShardRows(source->num_rows(), ctx_->parallelism);
+    const ColumnBatch view = ColumnBatch::View(*source, 0, source->num_rows());
+    bound_.For(view.schema());  // bind before the fan-out
     std::vector<ColumnBatch> outputs(shards.size());
     EXPLAINIT_RETURN_IF_ERROR(RunSharded(
         ctx_, shards.size(), [&](size_t s) -> Status {
-          const RowRange& range = shards[s];
-          ColumnBatch out(&schema_, range.size());
-          Evaluator ev(source, functions_);
-          for (const OutputColumn& col : columns_) {
-            if (col.expr == nullptr) {
-              out.AddBorrowedColumn(
-                  source->column(col.pass_through).data() + range.begin);
-              continue;
-            }
-            std::vector<Value> values;
-            values.reserve(range.size());
-            for (size_t r = range.begin; r < range.end; ++r) {
-              EXPLAINIT_ASSIGN_OR_RETURN(Value v, ev.Eval(*col.expr, r));
-              values.push_back(std::move(v));
-            }
-            out.AddOwnedColumn(std::move(values));
-          }
-          outputs[s] = std::move(out);
+          EXPLAINIT_ASSIGN_OR_RETURN(
+              outputs[s], ProjectRows(view, shards[s].begin, shards[s].end));
           return Status::OK();
         }));
     shard_output_ = std::move(outputs);
@@ -128,9 +112,9 @@ Result<ColumnBatch> ProjectOperator::NextImpl(bool* eof) {
     }
     done_ = true;
     EXPLAINIT_RETURN_IF_ERROR(Drain(input_, &retained_));
-    Evaluator ev(&retained_, functions_);
+    current_input_ = ColumnBatch::View(retained_, 0, retained_.num_rows());
     *eof = false;
-    return ProjectRows(ev, retained_.num_rows(), nullptr);
+    return ProjectRows(current_input_, 0, retained_.num_rows());
   }
   bool child_eof = false;
   EXPLAINIT_ASSIGN_OR_RETURN(ColumnBatch batch, input_->Next(&child_eof));
@@ -140,9 +124,8 @@ Result<ColumnBatch> ProjectOperator::NextImpl(bool* eof) {
   }
   if (retain_input_) batch.AppendTo(&retained_);
   current_input_ = std::move(batch);
-  Evaluator ev(&current_input_, functions_);
   *eof = false;
-  return ProjectRows(ev, current_input_.num_rows(), &current_input_);
+  return ProjectRows(current_input_, 0, current_input_.num_rows());
 }
 
 }  // namespace explainit::sql

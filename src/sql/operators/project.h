@@ -11,7 +11,7 @@
 // pass-through columns still borrowed from the source table.
 #pragma once
 
-#include "sql/evaluator.h"
+#include "sql/bound_expr.h"
 #include "sql/operators/operator.h"
 
 namespace explainit::sql {
@@ -40,11 +40,12 @@ class ProjectOperator : public Operator {
  private:
   struct OutputColumn {
     const Expr* expr = nullptr;  // null = star pass-through
-    size_t pass_through = 0;     // input column index when expr == null
+    size_t index = 0;  // input column (star) or bound item (computed)
   };
 
-  Result<table::ColumnBatch> ProjectRows(const Evaluator& ev, size_t rows,
-                                         const table::ColumnBatch* borrow);
+  /// Projects rows [begin, end) of `input`; star columns borrow from it.
+  Result<table::ColumnBatch> ProjectRows(const table::ColumnBatch& input,
+                                         size_t begin, size_t end);
   Result<table::ColumnBatch> ParallelNext(bool* eof);
 
   Operator* input_;
@@ -57,6 +58,7 @@ class ProjectOperator : public Operator {
 
   table::Schema schema_;
   std::vector<OutputColumn> columns_;
+  SchemaBoundExprs bound_;  // computed items, per input schema
   table::ColumnBatch current_input_;  // keeps pass-through storage alive
   table::Table materialized_;
   table::Table retained_;

@@ -32,24 +32,24 @@ Status SortLimitOperator::BuildSortKeys(
   // to the other side, so one item never mixes values from two schemas
   // across rows.
   const size_t n = output.num_rows();
-  Evaluator out_ev(&output, functions_);
+  const ColumnBatch out_view = ColumnBatch::View(output, 0, n);
   const Table empty_pre;
   const Table* preprojection = input_->retained_input();
   const Table* pre = preprojection != nullptr ? preprojection : &empty_pre;
-  Evaluator pre_ev(pre, functions_);
+  const ColumnBatch pre_view = ColumnBatch::View(*pre, 0, pre->num_rows());
   const std::vector<RowRange> shards =
       ShardRows(n, EffectiveParallelism(ctx_));
   keys->resize(stmt_->order_by.size());
   for (size_t k = 0; k < stmt_->order_by.size(); ++k) {
     const OrderByItem& item = stmt_->order_by[k];
-    bool resolved_on_output = false;
-    if (item.expr->kind == ExprKind::kColumnRef &&
-        out_ev.ResolveColumn(*item.expr).ok()) {
-      resolved_on_output = true;
-    }
-    const Evaluator* primary =
-        (resolved_on_output || aggregated_) ? &out_ev : &pre_ev;
-    const Evaluator* fallback = primary == &out_ev ? &pre_ev : &out_ev;
+    const bool resolved_on_output =
+        item.expr->kind == ExprKind::kColumnRef &&
+        ResolveColumn(output.schema(), *item.expr).ok();
+    const bool output_first = resolved_on_output || aggregated_;
+    const ColumnBatch& primary = output_first ? out_view : pre_view;
+    const ColumnBatch& fallback = output_first ? pre_view : out_view;
+    const BoundExpr primary_expr =
+        BoundExpr::Bind(*item.expr, primary.schema(), *functions_);
     std::vector<Value>& col = (*keys)[k];
     col.assign(n, Value());
     // Pass 1: the primary side for every row. Whether any row fails is
@@ -60,7 +60,7 @@ Status SortLimitOperator::BuildSortKeys(
         ctx_, shards.size(), [&](size_t s) -> Status {
           for (size_t r = shards[s].begin; r < shards[s].end; ++r) {
             if (failed.load(std::memory_order_relaxed)) break;
-            Result<Value> v = primary->Eval(*item.expr, r);
+            Result<Value> v = primary_expr.EvalRow(primary, r);
             if (!v.ok()) {
               failed.store(true, std::memory_order_relaxed);
               break;
@@ -71,11 +71,13 @@ Status SortLimitOperator::BuildSortKeys(
         });
     EXPLAINIT_RETURN_IF_ERROR(std::move(first_pass));
     if (failed.load(std::memory_order_relaxed)) {
+      const BoundExpr fallback_expr =
+          BoundExpr::Bind(*item.expr, fallback.schema(), *functions_);
       EXPLAINIT_RETURN_IF_ERROR(RunSharded(
           ctx_, shards.size(), [&](size_t s) -> Status {
             for (size_t r = shards[s].begin; r < shards[s].end; ++r) {
               EXPLAINIT_ASSIGN_OR_RETURN(Value v,
-                                         fallback->Eval(*item.expr, r));
+                                         fallback_expr.EvalRow(fallback, r));
               col[r] = std::move(v);
             }
             return Status::OK();

@@ -20,7 +20,7 @@
 
 #include <algorithm>
 
-#include "sql/evaluator.h"
+#include "sql/bound_expr.h"
 #include "sql/operators/operator.h"
 
 namespace explainit::sql {

@@ -223,7 +223,9 @@ void PutScalar(std::vector<uint8_t>* out, T v) {
 
 template <typename T>
 bool GetScalar(const std::vector<uint8_t>& data, size_t* offset, T* v) {
-  if (*offset + sizeof(T) > data.size()) return false;
+  if (*offset > data.size() || sizeof(T) > data.size() - *offset) {
+    return false;
+  }
   std::memcpy(v, data.data() + *offset, sizeof(T));
   *offset += sizeof(T);
   return true;
@@ -260,8 +262,17 @@ Result<CompressedBlock> CompressedBlock::Deserialize(
       !GetScalar(data, offset, &payload)) {
     return Status::ParseError("truncated block header");
   }
-  if (*offset + payload > data.size() || payload < (bit_count + 7) / 8) {
+  // Untrusted sizes: compare by subtraction and division, never by a sum
+  // or product that could wrap.
+  if (payload > data.size() - *offset ||
+      bit_count / 8 + (bit_count % 8 != 0 ? 1 : 0) > payload) {
     return Status::ParseError("truncated block payload");
+  }
+  // The first point takes 128 bits and every later one at least 2, so
+  // the bit count bounds how many points Decode may reserve for.
+  if (num_points > 0 &&
+      (bit_count < 128 || num_points - 1 > (bit_count - 128) / 2)) {
+    return Status::ParseError("block point count exceeds its payload");
   }
   block.num_points_ = num_points;
   block.first_timestamp_ = first_ts;

@@ -814,10 +814,12 @@ void PutString(std::vector<uint8_t>* out, const std::string& s) {
 bool GetString(const std::vector<uint8_t>& data, size_t* offset,
                std::string* s) {
   uint64_t n = 0;
-  if (*offset + sizeof(n) > data.size()) return false;
+  if (*offset > data.size() || sizeof(n) > data.size() - *offset) {
+    return false;
+  }
   std::memcpy(&n, data.data() + *offset, sizeof(n));
   *offset += sizeof(n);
-  if (*offset + n > data.size()) return false;
+  if (n > data.size() - *offset) return false;
   s->assign(reinterpret_cast<const char*>(data.data() + *offset), n);
   *offset += n;
   return true;

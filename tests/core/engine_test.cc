@@ -70,10 +70,10 @@ TEST(EngineTest, FamiliesFromStoreGrouping) {
 TEST(EngineTest, SqlOverRegisteredStore) {
   Engine engine(MakeStore(100, 3));
   engine.RegisterStoreTable("tsdb", kRange);
-  auto t = engine.Sql(
+  auto t = engine.Query(
       "SELECT COUNT(*) AS n FROM tsdb WHERE metric_name = 'disk_noise'");
   ASSERT_TRUE(t.ok()) << t.status().ToString();
-  EXPECT_EQ(t->At(0, 0).AsInt(), 100);
+  EXPECT_EQ(t->table.At(0, 0).AsInt(), 100);
 }
 
 TEST(EngineTest, FamiliesFromQueryListing1Shape) {
@@ -208,12 +208,12 @@ TEST(EngineTest, SessionValidation) {
 
 TEST(EngineTest, PersistentExecutorAccumulatesStats) {
   // The engine holds one executor for its lifetime: counters survive
-  // across Sql() calls, and last_exec_stats() isolates the latest query.
+  // across Query() calls, and last_exec_stats() isolates the latest query.
   Engine engine(MakeStore(50, 11));
   engine.RegisterStoreTable("tsdb", kRange);
-  ASSERT_TRUE(engine.Sql("SELECT COUNT(*) AS n FROM tsdb").ok());
+  ASSERT_TRUE(engine.Query("SELECT COUNT(*) AS n FROM tsdb").ok());
   ASSERT_TRUE(
-      engine.Sql("SELECT AVG(value) AS v FROM tsdb "
+      engine.Query("SELECT AVG(value) AS v FROM tsdb "
                  "WHERE metric_name = 'disk_noise'")
           .ok());
   EXPECT_EQ(engine.exec_stats().tables_scanned, 2u);
@@ -231,11 +231,11 @@ TEST(EngineTest, StoreTablePushdownNarrowsScan) {
   // store actually serves (time window and metric constraint).
   Engine engine(MakeStore(100, 12));
   engine.RegisterStoreTable("tsdb", kRange);
-  auto t = engine.Sql(
+  auto t = engine.Query(
       "SELECT COUNT(*) AS n FROM tsdb WHERE metric_name = 'disk_noise' "
       "AND timestamp BETWEEN 600 AND 1200");
   ASSERT_TRUE(t.ok()) << t.status().ToString();
-  EXPECT_EQ(t->At(0, 0).AsInt(), 11);  // minutes 10..20 inclusive
+  EXPECT_EQ(t->table.At(0, 0).AsInt(), 11);  // minutes 10..20 inclusive
   const tsdb::ScanStats& st = engine.store().scan_stats();
   EXPECT_EQ(st.last_range.start, 600);
   EXPECT_EQ(st.last_range.end, 1201);
@@ -293,11 +293,11 @@ TEST(EngineTest, ExplainScoreTableComposesWithSql) {
       "SCORE BY 'CorrMax'");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   engine.catalog().RegisterTable("scores", result->table);
-  auto strong = engine.Sql(
+  auto strong = engine.Query(
       "SELECT family, score FROM scores WHERE score > 0.5 AND rank <= 2 "
       "ORDER BY score DESC");
   ASSERT_TRUE(strong.ok()) << strong.status().ToString();
-  EXPECT_LE(strong->num_rows(), 2u);
+  EXPECT_LE(strong->table.num_rows(), 2u);
 }
 
 TEST(EngineTest, ExplainErrorsAreActionable) {

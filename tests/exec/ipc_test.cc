@@ -107,5 +107,17 @@ TEST(IpcTest, AcceptsZeroByZero) {
   EXPECT_EQ(m->cols(), 0u);
 }
 
+TEST(IpcTest, RoundTripAccumulatesTime) {
+  la::Matrix m(100, 50);
+  for (size_t r = 0; r < m.rows(); ++r) {
+    for (size_t c = 0; c < m.cols(); ++c) m(r, c) = 0.25 * (r + 3.0 * c);
+  }
+  double seconds = 0.0;
+  auto back = RoundTripMatrix(m, &seconds);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.value(), m);
+  EXPECT_GT(seconds, 0.0);
+}
+
 }  // namespace
 }  // namespace explainit::exec

@@ -26,25 +26,26 @@ TEST_F(PipelineIntegrationTest, Listing5HypothesisJoin) {
   // Stage 1-3 results registered as tables, then the paper's hypothesis
   // join: (FF_1 UNION FF_2) FF FULL OUTER JOIN Target FULL OUTER JOIN
   // Condition, all ON timestamp.
-  auto ff1 = engine_->Sql(R"(
+  auto ff1 = engine_->Query(R"(
       SELECT timestamp, AVG(value) AS retransmits
       FROM tsdb WHERE metric_name = 'tcp_retransmits'
       GROUP BY timestamp)");
-  auto target = engine_->Sql(R"(
+  auto target = engine_->Query(R"(
       SELECT timestamp, AVG(value) AS runtime_sec
       FROM tsdb WHERE metric_name = 'overall_runtime'
       GROUP BY timestamp)");
-  auto condition = engine_->Sql(R"(
+  auto condition = engine_->Query(R"(
       SELECT timestamp, AVG(value) AS input_events
       FROM tsdb WHERE metric_name LIKE 'input_rate%'
       GROUP BY timestamp)");
   ASSERT_TRUE(ff1.ok() && target.ok() && condition.ok());
-  engine_->catalog().RegisterTable("FF_1", *ff1);
-  engine_->catalog().RegisterTable("FF_2", *ff1);  // stand-in second source
-  engine_->catalog().RegisterTable("Target", *target);
-  engine_->catalog().RegisterTable("Cond", *condition);
+  engine_->catalog().RegisterTable("FF_1", ff1->table);
+  // FF_2 is a stand-in second source.
+  engine_->catalog().RegisterTable("FF_2", ff1->table);
+  engine_->catalog().RegisterTable("Target", target->table);
+  engine_->catalog().RegisterTable("Cond", condition->table);
 
-  auto hypothesis = engine_->Sql(R"(
+  auto hypothesis = engine_->Query(R"(
       SELECT FF.timestamp, FF.retransmits, Target.runtime_sec,
              Cond.input_events
       FROM (SELECT * FROM FF_1 UNION ALL SELECT * FROM FF_2) FF
@@ -53,12 +54,12 @@ TEST_F(PipelineIntegrationTest, Listing5HypothesisJoin) {
       ORDER BY FF.timestamp ASC)");
   ASSERT_TRUE(hypothesis.ok()) << hypothesis.status().ToString();
   // Two FF copies x 240 timestamps, all matching the 240 target rows.
-  EXPECT_EQ(hypothesis->num_rows(), 480u);
-  EXPECT_EQ(hypothesis->num_columns(), 4u);
+  EXPECT_EQ(hypothesis->table.num_rows(), 480u);
+  EXPECT_EQ(hypothesis->table.num_columns(), 4u);
   // Every row carries a joined runtime and condition value.
   for (size_t r = 0; r < 10; ++r) {
-    EXPECT_FALSE(hypothesis->At(r, 2).is_null());
-    EXPECT_FALSE(hypothesis->At(r, 3).is_null());
+    EXPECT_FALSE(hypothesis->table.At(r, 2).is_null());
+    EXPECT_FALSE(hypothesis->table.At(r, 3).is_null());
   }
 }
 
@@ -73,15 +74,15 @@ TEST_F(PipelineIntegrationTest, ScoreTableIsQueryable) {
   auto table = session.Run();
   ASSERT_TRUE(table.ok());
   engine_->catalog().RegisterTable("scores", table->ToTable());
-  auto strong = engine_->Sql(
+  auto strong = engine_->Query(
       "SELECT family, score FROM scores WHERE score > 0.5 "
       "ORDER BY score DESC");
   ASSERT_TRUE(strong.ok()) << strong.status().ToString();
-  EXPECT_GT(strong->num_rows(), 0u);
-  EXPECT_LE(strong->num_rows(), table->rows.size());
-  auto count = engine_->Sql("SELECT COUNT(*) AS n FROM scores");
+  EXPECT_GT(strong->table.num_rows(), 0u);
+  EXPECT_LE(strong->table.num_rows(), table->rows.size());
+  auto count = engine_->Query("SELECT COUNT(*) AS n FROM scores");
   ASSERT_TRUE(count.ok());
-  EXPECT_EQ(static_cast<size_t>(count->At(0, 0).AsInt()),
+  EXPECT_EQ(static_cast<size_t>(count->table.At(0, 0).AsInt()),
             table->rows.size());
 }
 
@@ -90,15 +91,16 @@ TEST_F(PipelineIntegrationTest, LaggedFeaturesViaSqlLag) {
   // ... by using LAG function in SQL".
   // LAG windows over row order, so aggregate first in a subquery and lag
   // over the aggregated rows.
-  auto lagged = engine_->Sql(R"(
+  auto lagged = engine_->Query(R"(
       SELECT timestamp, v, LAG(v) AS v_lag1
       FROM (SELECT timestamp, AVG(value) AS v
             FROM tsdb WHERE metric_name = 'overall_runtime'
             GROUP BY timestamp ORDER BY timestamp ASC) agg)");
   ASSERT_TRUE(lagged.ok()) << lagged.status().ToString();
-  ASSERT_GT(lagged->num_rows(), 2u);
-  EXPECT_TRUE(lagged->At(0, 2).is_null());  // no previous row
-  EXPECT_EQ(lagged->At(1, 2).AsDouble(), lagged->At(0, 1).AsDouble());
+  ASSERT_GT(lagged->table.num_rows(), 2u);
+  EXPECT_TRUE(lagged->table.At(0, 2).is_null());  // no previous row
+  EXPECT_EQ(lagged->table.At(1, 2).AsDouble(),
+            lagged->table.At(0, 1).AsDouble());
 }
 
 TEST_F(PipelineIntegrationTest, FamiliesFromQueryFeedEngineRank) {

@@ -16,6 +16,7 @@
 //     their fan-out in ExecStats.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -327,6 +328,114 @@ TEST_F(OperatorsTest, ParallelMaterialisationAssemblesChunks) {
   }
   EXPECT_GE(parallel.last_stats().materialize_chunks, 2u);
   EXPECT_EQ(serial.last_stats().materialize_chunks, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Group and join keys meet exactly when Value::Equals says so: doubles are
+// not rounded to their printed form, types do not alias through text, and
+// separators inside strings cannot merge composite keys. HashJoin must
+// agree with NestedLoopJoin (which evaluates `=` directly) at every
+// parallelism level.
+// ---------------------------------------------------------------------------
+
+class KeyEncodingTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    functions_ = FunctionRegistry::Builtins();
+    auto one_column = [&](const std::string& name, std::vector<Value> ks) {
+      Table t(Schema{{{"k", DataType::kDouble}}});
+      for (Value& k : ks) t.AppendRow({std::move(k)});
+      catalog_.RegisterTable(name, std::move(t));
+    };
+    one_column("near", {Value::Double(1.0000001), Value::Double(1.0000002),
+                        Value::Double(3.0)});
+    one_column("zeros", {Value::Double(0.0), Value::Double(-0.0),
+                         Value::Double(std::nan("")), Value::Null()});
+    one_column("mixed", {Value::Double(1.0), Value::String("1"),
+                         Value::Int(7), Value::String("7"),
+                         Value::String("NULL"), Value::Null()});
+    Table pairs(Schema{{{"a", DataType::kString}, {"b", DataType::kString}}});
+    pairs.AppendRow({Value::String("x\x1f"), Value::String("y")});
+    pairs.AppendRow({Value::String("x"), Value::String("\x1fy")});
+    catalog_.RegisterTable("pairs", std::move(pairs));
+  }
+
+  Table Run(const std::string& sql, size_t parallelism,
+            ExecStats* stats = nullptr) {
+    Executor ex(&catalog_, &functions_, parallelism);
+    auto r = ex.Query(sql);
+    EXPECT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+    if (stats != nullptr) *stats = ex.last_stats();
+    return r.ok() ? std::move(r).value() : Table();
+  }
+
+  /// Self-join row count through HashJoin (`x.k = y.k`) and through
+  /// NestedLoopJoin (the same test hidden behind an OR).
+  void ExpectJoinsAgree(const std::string& table, size_t want) {
+    for (size_t p : {1, 4}) {
+      ExecStats hs, ns;
+      const Table hash = Run("SELECT x.k AS a, y.k AS b FROM " + table +
+                                 " x JOIN " + table + " y ON x.k = y.k",
+                             p, &hs);
+      const Table nested = Run("SELECT x.k AS a, y.k AS b FROM " + table +
+                                   " x JOIN " + table +
+                                   " y ON x.k = y.k OR 1 = 0",
+                               p, &ns);
+      EXPECT_EQ(hs.hash_joins, 1u) << table;
+      EXPECT_EQ(ns.nested_loop_joins, 1u) << table;
+      EXPECT_EQ(hash.num_rows(), want) << table << " p=" << p;
+      EXPECT_EQ(nested.num_rows(), want) << table << " p=" << p;
+    }
+  }
+
+  Catalog catalog_;
+  FunctionRegistry functions_;
+};
+
+TEST_F(KeyEncodingTest, GroupByKeepsNearDoublesApart) {
+  for (size_t p : {1, 4}) {
+    const Table t =
+        Run("SELECT k, COUNT(*) AS n FROM near GROUP BY k", p);
+    ASSERT_EQ(t.num_rows(), 3u) << "p=" << p;
+    for (size_t r = 0; r < t.num_rows(); ++r) {
+      EXPECT_EQ(t.At(r, 1).AsInt(), 1) << "p=" << p;
+    }
+  }
+}
+
+TEST_F(KeyEncodingTest, GroupBySeparatesTypesAndStringNull) {
+  for (size_t p : {1, 4}) {
+    // 1.0 / '1', 7 / '7' and 'NULL' / NULL are six distinct keys.
+    EXPECT_EQ(Run("SELECT k, COUNT(*) AS n FROM mixed GROUP BY k", p)
+                  .num_rows(),
+              6u)
+        << "p=" << p;
+    // 0.0 and -0.0 are one key; NaN and NULL each group with themselves.
+    EXPECT_EQ(Run("SELECT k, COUNT(*) AS n FROM zeros GROUP BY k", p)
+                  .num_rows(),
+              3u)
+        << "p=" << p;
+  }
+}
+
+TEST_F(KeyEncodingTest, GroupBySeparatorInsideStringsDoesNotMergeGroups) {
+  for (size_t p : {1, 4}) {
+    EXPECT_EQ(Run("SELECT a, b, COUNT(*) AS n FROM pairs GROUP BY a, b", p)
+                  .num_rows(),
+              2u)
+        << "p=" << p;
+  }
+}
+
+TEST_F(KeyEncodingTest, HashJoinKeepsNearDoublesApart) {
+  ExpectJoinsAgree("near", 3);
+}
+
+TEST_F(KeyEncodingTest, HashJoinMatchesOnlyEqualValues) {
+  // 0.0 meets -0.0 (four pairs); NaN and NULL meet nothing.
+  ExpectJoinsAgree("zeros", 4);
+  // Each value meets only itself: 1.0 never meets '1', nor 7 '7'.
+  ExpectJoinsAgree("mixed", 5);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <bit>
 #include <cmath>
+#include <cstring>
 
 #include "common/random.h"
 
@@ -223,6 +224,68 @@ TEST(CompressedBlockTest, DeserializeConsumesConcatenatedBlocks) {
   ASSERT_TRUE(rb.ok());
   EXPECT_EQ(rb->num_points(), 1u);
   EXPECT_EQ(offset, buffer.size());
+  EXPECT_FALSE(CompressedBlock::Deserialize(buffer, &offset).ok());
+}
+
+// Hostile snapshot bytes: every size field in a serialized block is
+// untrusted, and a bad one must come back as a typed ParseError — never a
+// throw, an abort or a read out of bounds.
+constexpr size_t kBitCountField = 48;  // header offsets (u64 fields)
+constexpr size_t kPayloadField = 56;
+
+std::vector<uint8_t> TwoPointBlock() {
+  CompressedBlock block;
+  EXPECT_TRUE(block.Append(0, 1.0).ok());
+  EXPECT_TRUE(block.Append(60, 2.0).ok());
+  std::vector<uint8_t> buffer;
+  block.Serialize(&buffer);
+  return buffer;
+}
+
+void PutU64(std::vector<uint8_t>* buffer, size_t at, uint64_t v) {
+  std::memcpy(buffer->data() + at, &v, sizeof(v));
+}
+
+void ExpectParseError(const std::vector<uint8_t>& buffer) {
+  size_t offset = 0;
+  auto r = CompressedBlock::Deserialize(buffer, &offset);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kParseError)
+      << r.status().ToString();
+}
+
+TEST(CompressedBlockTest, DeserializeRejectsWrappingPayloadSize) {
+  std::vector<uint8_t> buffer = TwoPointBlock();
+  // header (64 bytes) + payload wraps to 0: passes a naive sum check.
+  PutU64(&buffer, kPayloadField, ~uint64_t{0} - 63);
+  ExpectParseError(buffer);
+  PutU64(&buffer, kPayloadField, ~uint64_t{0});
+  ExpectParseError(buffer);
+}
+
+TEST(CompressedBlockTest, DeserializeRejectsBitCountBeyondPayload) {
+  std::vector<uint8_t> buffer = TwoPointBlock();
+  // (bit_count + 7) / 8 wraps to 0 for the largest counts.
+  PutU64(&buffer, kBitCountField, ~uint64_t{0});
+  ExpectParseError(buffer);
+  PutU64(&buffer, kBitCountField, ~uint64_t{0} - 6);
+  ExpectParseError(buffer);
+}
+
+TEST(CompressedBlockTest, DeserializeRejectsPointCountBeyondPayload) {
+  std::vector<uint8_t> buffer = TwoPointBlock();
+  PutU64(&buffer, 0, uint64_t{1} << 60);  // num_points: Decode would reserve
+  ExpectParseError(buffer);
+}
+
+TEST(CompressedBlockTest, DeserializeTruncatedAtEveryLengthIsParseError) {
+  const std::vector<uint8_t> buffer = TwoPointBlock();
+  for (size_t len = 0; len < buffer.size(); ++len) {
+    SCOPED_TRACE(len);
+    ExpectParseError(
+        std::vector<uint8_t>(buffer.begin(), buffer.begin() + len));
+  }
+  size_t offset = buffer.size() + 5;  // a cursor already past the end
   EXPECT_FALSE(CompressedBlock::Deserialize(buffer, &offset).ok());
 }
 

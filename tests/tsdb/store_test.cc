@@ -279,6 +279,25 @@ TEST(SnapshotTest, TruncatedSnapshotFailsCleanly) {
   EXPECT_FALSE(loaded.LoadSnapshot(path).ok());
 }
 
+TEST(SnapshotTest, WrappingStringLengthIsParseError) {
+  SeriesStore store;
+  ASSERT_TRUE(store.Write("m", TagSet{{"h", "x"}}, 0, 1.0).ok());
+  const std::string path = ::testing::TempDir() + "/wrap.bin";
+  ASSERT_TRUE(store.SaveSnapshot(path).ok());
+  // The first metric-name length (after the u32 magic and u64 count):
+  // cursor + length wraps to a small value under a naive sum check.
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  const uint64_t hostile = ~uint64_t{0} - 19;
+  ASSERT_EQ(std::fseek(f, 12, SEEK_SET), 0);
+  ASSERT_EQ(std::fwrite(&hostile, sizeof(hostile), 1, f), 1u);
+  std::fclose(f);
+  SeriesStore loaded;
+  const Status s = loaded.LoadSnapshot(path);
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kParseError) << s.ToString();
+}
+
 TEST(SnapshotTest, TieredStateRoundTripsWithDirtyHead) {
   // Seal every 4 points, no background thread: 10 points leave two sealed
   // segments and a dirty 2-point head per series. The v2 snapshot must
