@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate: Release build + full ctest + bench smoke, an
 # ASan/UBSan Debug build + full ctest, and a ThreadSanitizer build running
-# the concurrency-sensitive suites (operators, differential, thread pool).
+# the concurrency-sensitive suites (SQL operators, planner and differential
+# corpus, worker pool, tiered store, ranking, server and monitor).
 # Run from anywhere.
 #
 # Usage: check.sh [release|asan|tsan|all]   (default: all)
@@ -104,18 +105,20 @@ if [[ "${STAGE}" == "asan" || "${STAGE}" == "all" ]]; then
 fi
 
 if [[ "${STAGE}" == "tsan" || "${STAGE}" == "all" ]]; then
-  # ThreadSanitizer job: the suites that drive the morsel-parallel
-  # operators, the partitioned join/sort/materialisation paths, the
-  # worker pool itself, the tiered store's write/scan/seal concurrency,
-  # and the monitor scheduler/write-tap/shared-scan paths. (ASan and
-  # TSan cannot share a build tree.)
+  # ThreadSanitizer job: the SQL suites that drive the sharded operators
+  # (Filter/Project morsel rounds, HashAggregate shards, the partitioned
+  # join/sort/materialisation paths) and the expression evaluator; the
+  # worker pool itself; the tiered store's write/scan/seal concurrency;
+  # parallel ranking and ridge fits; the server's sessions; and the
+  # monitor scheduler/write-tap/shared-scan paths. (ASan and TSan cannot
+  # share a build tree.)
   echo "=== configure: ${ROOT}/build-tsan (ThreadSanitizer) ==="
   cmake -B "${ROOT}/build-tsan" -S "${ROOT}" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DEXPLAINIT_TSAN=ON
   echo "=== build: ${ROOT}/build-tsan ==="
   cmake --build "${ROOT}/build-tsan" -j "${JOBS}"
-  echo "=== ctest (tsan): operator, expression and pool suites ==="
+  echo "=== ctest (tsan): SQL, pool, store, ranking, server and monitor suites ==="
   ctest --test-dir "${ROOT}/build-tsan" --output-on-failure -j "${JOBS}" \
     -R 'operators_test|differential_test|executor_test|planner_test|logical_plan_test|optimizer_test|fuzz_roundtrip_test|bound_expr_test|worker_pool_test|server_test|concurrency_test|tiered_store_test|ranking_test|ridge_test|anomaly_test|monitor_test|monitor_stress_test'
 fi

@@ -1,14 +1,16 @@
 // Shared execution context for one query pipeline: the degree of
 // parallelism the executor was configured with, the worker pool that
-// the parallel operators (Filter/Project/HashAggregate morsels,
+// the operators (Filter/Project morsel rounds, HashAggregate shards,
 // HashJoin's partitioned build/probe, SortLimit's sharded sort) and the
 // executor's chunked result assembly fan out over, and the query's
 // cancellation token.
 //
-// parallelism == 1 (or a null context/pool) means the pipeline runs the
-// classic streaming operators; > 1 switches eligible operators to their
-// sharded paths. Shard boundaries depend only on (row count, parallelism),
-// never on scheduling, so a given parallelism level is deterministic.
+// Parallelism is a shard count, not a mode: every operator runs the same
+// code path at every level and only splits its work into
+// EffectiveParallelism(ctx) shards. parallelism == 1 (or a null
+// context/pool) is the one-shard case, run inline on the calling thread.
+// Shard boundaries depend only on (row count, parallelism), never on
+// scheduling, so a given parallelism level is deterministic.
 //
 // The pool is *borrowed* — by default the process-wide
 // exec::WorkerPool::Global(), shared with every other session, the
@@ -24,7 +26,7 @@
 namespace explainit::sql {
 
 struct ExecContext {
-  /// Degree of parallelism operators shard to. 1 = serial pipeline.
+  /// Degree of parallelism operators shard to. 1 = one shard, inline.
   size_t parallelism = 1;
   /// Shared worker pool for sharded execution (borrowed, typically
   /// exec::WorkerPool::Global()). Non-null whenever parallelism > 1.

@@ -57,15 +57,15 @@ Result<table::Table> Executor::ExecuteTree(Operator* root) {
   bool eof = false;
   size_t materialize_chunks = 1;
   const size_t width = out.num_columns();
-  if (parallelism_ > 1 && width > 0 && root->StableBatches()) {
-    // Parallel result materialisation: a stable root's batches stay
-    // valid until the tree is destroyed, so the drain buffers views and
-    // the final table assembles column-wise across the pool — per-batch
-    // chunks copy into disjoint row ranges of preallocated columns,
-    // replacing the serial per-batch AppendTo copy. Trade-off: batches
-    // with owned storage are all held until assembly, so peak transient
-    // memory can approach twice the result set (the serial path frees
-    // each batch right after appending it).
+  if (parallelism_ > 1 && width > 0) {
+    // Parallel result materialisation: batches stay valid for the life
+    // of the tree, so the drain buffers them and the final table
+    // assembles column-wise across the pool — per-batch chunks copy into
+    // disjoint row ranges of preallocated columns, replacing the
+    // per-batch AppendTo copy. Trade-off: batches with owned storage are
+    // all held until assembly, so peak transient memory can approach
+    // twice the result set; at parallelism 1 the AppendTo drain below
+    // frees each batch right after appending it.
     std::vector<table::ColumnBatch> batches;
     std::vector<size_t> offsets;
     size_t total = 0;

@@ -8,16 +8,18 @@
 // Time-range, metric and tag predicates push down into hint-aware
 // catalog providers (tsdb::SeriesStore scans) — on both sides of joins.
 //
-// Parallelism: set_parallelism(n) switches Filter/Project/HashAggregate
-// to their morsel-parallel paths, HashJoin to its partitioned
-// build/probe, SortLimit to its sharded sort, and the final drain to
-// chunked column assembly — all over a *borrowed* worker pool, by
-// default the process-wide exec::WorkerPool::Global() shared with every
-// other executor, store scan and ranking fan-out (n == 1 keeps the
-// streaming single-threaded operators; n == 0 means hardware
-// concurrency). Join, sort and materialisation output is
-// byte-identical across levels; aggregation is identical up to
-// floating-point summation order. The differential suite pins both.
+// Parallelism: set_parallelism(n) sets how many shards every operator
+// splits its work into — Filter/Project rounds of n batch morsels,
+// HashAggregate's partial or row-index shards, HashJoin's partitioned
+// build/probe, SortLimit's sharded sort — over a *borrowed* worker pool,
+// by default the process-wide exec::WorkerPool::Global() shared with
+// every other executor, store scan and ranking fan-out. Each operator
+// has one code path; n == 1 is its one-shard case, run inline, and
+// n == 0 means hardware concurrency. Only the final drain differs:
+// above 1 it assembles the result column-wise across the pool. Filter,
+// Project, join, sort and materialisation output is byte-identical
+// across levels; aggregation is identical up to floating-point summation
+// order. The differential suite pins both.
 #pragma once
 
 #include <memory>
@@ -51,8 +53,8 @@ class Executor {
     set_parallelism(parallelism);
   }
 
-  /// Sets the degree of parallelism for subsequent queries. 1 = serial
-  /// streaming pipeline; 0 = hardware concurrency.
+  /// Sets the degree of parallelism for subsequent queries. 1 = one
+  /// shard per stage, run inline; 0 = hardware concurrency.
   void set_parallelism(size_t parallelism);
   size_t parallelism() const { return parallelism_; }
 
@@ -79,7 +81,7 @@ class Executor {
 
   /// Plans a parsed SELECT into a physical operator tree sharing this
   /// executor's catalog, function registry and execution context (so
-  /// pushdown, pruning and the morsel-parallel paths apply unchanged).
+  /// pushdown, pruning and the sharded operators apply unchanged).
   /// The statement must outlive the returned tree.
   Result<std::unique_ptr<Operator>> PlanSelect(const SelectStatement& stmt);
 

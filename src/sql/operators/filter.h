@@ -1,13 +1,11 @@
 // Filter: vectorised predicate evaluation over batches, compacting the
-// survivors. Predicates containing LAG (which reads neighbouring rows)
-// first materialise the whole input so the window sees the full relation.
-//
-// With a parallel ExecContext the filter becomes morsel-parallel: the
-// input is materialised once (borrowing the child's backing table when it
-// is already materialised, e.g. a catalog scan), contiguous row shards
-// are evaluated across the pool, and per-shard survivors are emitted in
-// shard order — all-pass shards as zero-copy views, partial shards as
-// owned compactions — so output order matches the serial pipeline.
+// survivors. Each child batch is one morsel of the shared round loop
+// (MorselRounds): a round evaluates up to EffectiveParallelism(ctx)
+// batches across the pool and emits their survivors in pull order —
+// all-pass batches unchanged, partial ones as owned compactions — so the
+// output is the same batch sequence at every parallelism level.
+// Predicates containing LAG (which reads neighbouring rows) evaluate over
+// the whole drained input as one morsel.
 #pragma once
 
 #include "sql/bound_expr.h"
@@ -18,7 +16,7 @@ namespace explainit::sql {
 class FilterOperator : public Operator {
  public:
   /// `predicate` is owned (the planner hands a clone or a rebuilt
-  /// residual after pushdown). `ctx` may be null (serial).
+  /// residual after pushdown). `ctx` may be null (one shard).
   FilterOperator(std::unique_ptr<Operator> input, ExprPtr predicate,
                  const FunctionRegistry* functions,
                  const ExecContext* ctx = nullptr);
@@ -27,37 +25,20 @@ class FilterOperator : public Operator {
     return input_->output_schema();
   }
   std::string name() const override { return "Filter"; }
-  bool StableBatches() const override {
-    return materialize_ || parallel_ || input_->StableBatches();
-  }
 
  protected:
   Status OpenImpl() override;
   Result<table::ColumnBatch> NextImpl(bool* eof) override;
 
  private:
-  Result<table::ColumnBatch> ParallelNext(bool* eof);
-  /// The rows of [begin, end) that pass the predicate.
-  Result<std::vector<uint32_t>> Select(const table::ColumnBatch& batch,
-                                       size_t begin, size_t end);
+  /// The survivors of one input batch.
+  Result<table::ColumnBatch> Select(table::ColumnBatch batch);
 
   Operator* input_;
   ExprPtr predicate_;
   const FunctionRegistry* functions_;
-  const ExecContext* ctx_;
-  bool materialize_ = false;  // LAG present: evaluate over the whole input
-  bool parallel_ = false;     // sharded morsel path
-  SchemaBoundExprs bound_;    // the predicate, per input schema
-
-  table::Table materialized_;
-  bool materialized_done_ = false;
-
-  // Parallel path state: the morsel source (borrowed child table or the
-  // drained copy), per-shard survivor batches, and the emit cursor.
-  table::Table drained_;
-  std::vector<table::ColumnBatch> shard_output_;
-  size_t emit_pos_ = 0;
-  bool sharded_done_ = false;
+  SchemaBoundExprs bound_;  // the predicate, per input schema
+  MorselRounds rounds_;
 };
 
 }  // namespace explainit::sql

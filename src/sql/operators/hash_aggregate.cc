@@ -212,11 +212,9 @@ Result<ColumnBatch> HashAggregateOperator::NextImpl(bool* eof) {
   }
   done_ = true;
   *eof = false;
-  const bool parallel =
-      ctx_ != nullptr && ctx_->parallel() && !lag_anywhere_;
-  if (!parallel) return SerialNext();
-  if (partial_ok_) return PartialNext();
-  return IndexNext();
+  // LAG reads neighbouring rows of the whole relation: one shard.
+  shards_ = lag_anywhere_ ? 1 : EffectiveParallelism(ctx_);
+  return partial_ok_ ? PartialNext() : IndexNext();
 }
 
 ColumnBatch HashAggregateOperator::EmitRows(
@@ -255,15 +253,22 @@ ColumnBatch HashAggregateOperator::EmptyGlobalRow() {
   return EmitRows(std::move(cols), std::vector<char>(1, 1));
 }
 
-Status HashAggregateOperator::MaterializeInputShards() {
+Status HashAggregateOperator::CollectMorsels() {
+  if (!lag_anywhere_ && !retain_input_) {
+    // The child's batches stay valid for the life of the tree: buffer
+    // them as morsels without copying.
+    bool child_eof = false;
+    while (true) {
+      EXPLAINIT_ASSIGN_OR_RETURN(ColumnBatch batch, input_->Next(&child_eof));
+      if (child_eof) return Status::OK();
+      if (batch.num_rows() > 0) morsels_.push_back(std::move(batch));
+    }
+  }
   EXPLAINIT_RETURN_IF_ERROR(Drain(input_, &acc_));
   retained_ptr_ = &acc_;
-  morsels_.clear();
-  for (const RowRange& range :
-       ShardRows(acc_.num_rows(), ctx_->parallelism)) {
+  for (const RowRange& range : ShardRows(acc_.num_rows(), shards_)) {
     if (range.size() == 0) continue;
-    morsels_.push_back(
-        ColumnBatch::View(acc_, range.begin, range.size()));
+    morsels_.push_back(ColumnBatch::View(acc_, range.begin, range.size()));
   }
   return Status::OK();
 }
@@ -293,7 +298,7 @@ Status HashAggregateOperator::EvalGroup(
 }
 
 // ---------------------------------------------------------------------------
-// Parallel partial-aggregation mode
+// Partial mode: per-shard flat partial states, merged in shard order
 // ---------------------------------------------------------------------------
 
 Status HashAggregateOperator::PartialAccumulate(const ColumnBatch& batch,
@@ -324,7 +329,7 @@ Status HashAggregateOperator::PartialAccumulate(const ColumnBatch& batch,
       const Value* v = nullptr;
       Status s = b.agg_args[i][0].EvalRef(batch, r, &tmp, &v);
       if (!s.ok()) {
-        // Deferred like the serial path: only surfaces if the group
+        // Deferred like index mode: only surfaces if the group
         // survives HAVING and the slot is consulted.
         st.error = std::move(s);
         continue;
@@ -336,19 +341,7 @@ Status HashAggregateOperator::PartialAccumulate(const ColumnBatch& batch,
 }
 
 Result<ColumnBatch> HashAggregateOperator::PartialNext() {
-  // Morsel source: buffer the child's own batches when their storage is
-  // stable (and the pre-aggregation rows need not be retained), else
-  // drain once and shard the materialised rows.
-  if (input_->StableBatches() && !retain_input_) {
-    bool child_eof = false;
-    while (true) {
-      EXPLAINIT_ASSIGN_OR_RETURN(ColumnBatch batch, input_->Next(&child_eof));
-      if (child_eof) break;
-      if (batch.num_rows() > 0) morsels_.push_back(std::move(batch));
-    }
-  } else {
-    EXPLAINIT_RETURN_IF_ERROR(MaterializeInputShards());
-  }
+  EXPLAINIT_RETURN_IF_ERROR(CollectMorsels());
   size_t total_rows = 0;
   for (const ColumnBatch& m : morsels_) total_rows += m.num_rows();
 
@@ -367,11 +360,10 @@ Result<ColumnBatch> HashAggregateOperator::PartialNext() {
   }
 
   // Assign contiguous batch runs to shards, balancing by row count. The
-  // assignment depends only on the batch layout and the parallelism knob,
-  // so merges happen in a deterministic order.
+  // assignment depends only on the batch layout and the shard count, so
+  // merges happen in a deterministic order.
   const size_t want_shards = std::max<size_t>(
-      1, std::min<size_t>(ctx_->parallelism,
-                          std::max<size_t>(1, total_rows / 1024)));
+      1, std::min<size_t>(shards_, std::max<size_t>(1, total_rows / 1024)));
   std::vector<std::pair<size_t, size_t>> runs;  // [batch_begin, batch_end)
   {
     size_t cum = 0;
@@ -406,8 +398,8 @@ Result<ColumnBatch> HashAggregateOperator::PartialNext() {
       }));
 
   // Merge stage: combine per-shard partials in shard order (shard order
-  // is row order, so first-appearance order and first-error-wins both
-  // match the serial pipeline).
+  // is row order, so first-appearance order and first-error-wins do not
+  // depend on the shard count).
   const size_t num_slots = agg_nodes_.size();
   size_t total_groups = 0;
   for (const ShardGroups& local : shards) total_groups += local.groups.size();
@@ -457,8 +449,7 @@ Result<ColumnBatch> HashAggregateOperator::PartialNext() {
   std::vector<char> keep(num_groups, 1);
   std::vector<std::vector<Value>> values(schema_.num_fields());
   for (auto& col : values) col.resize(num_groups);
-  const std::vector<RowRange> group_shards =
-      ShardRows(num_groups, ctx_->parallelism);
+  const std::vector<RowRange> group_shards = ShardRows(num_groups, shards_);
   EXPLAINIT_RETURN_IF_ERROR(RunSharded(
       ctx_, group_shards.size(), [&](size_t s) -> Status {
         for (size_t gi = group_shards[s].begin; gi < group_shards[s].end;
@@ -504,22 +495,8 @@ Result<ColumnBatch> HashAggregateOperator::PartialNext() {
 }
 
 // ---------------------------------------------------------------------------
-// Serial and parallel index modes: row-index groups, per-group evaluation
+// Index mode: row-index groups, per-group evaluation
 // ---------------------------------------------------------------------------
-
-Status HashAggregateOperator::GroupRows(const std::vector<BoundExpr>& keys,
-                                        const ColumnBatch& batch,
-                                        size_t base) {
-  std::string key;
-  for (size_t r = 0; r < batch.num_rows(); ++r) {
-    bool matchable = true;
-    EXPLAINIT_RETURN_IF_ERROR(EncodeRowKey(keys, batch, r, &key, &matchable));
-    auto [it, inserted] = groups_.try_emplace(key);
-    if (inserted) group_order_.push_back(key);
-    it->second.push_back(base + r);
-  }
-  return Status::OK();
-}
 
 Result<ColumnBatch> HashAggregateOperator::FinishGroups(
     const ColumnBatch& input) {
@@ -532,8 +509,7 @@ Result<ColumnBatch> HashAggregateOperator::FinishGroups(
   std::vector<char> keep(num_groups, 1);
   std::vector<std::vector<Value>> values(schema_.num_fields());
   for (auto& col : values) col.resize(num_groups);
-  const std::vector<RowRange> group_shards =
-      ShardRows(num_groups, EffectiveParallelism(ctx_));
+  const std::vector<RowRange> group_shards = ShardRows(num_groups, shards_);
   EXPLAINIT_RETURN_IF_ERROR(RunSharded(
       ctx_, group_shards.size(), [&](size_t s) -> Status {
         for (size_t gi = group_shards[s].begin; gi < group_shards[s].end;
@@ -555,11 +531,12 @@ Result<ColumnBatch> HashAggregateOperator::FinishGroups(
 }
 
 Result<ColumnBatch> HashAggregateOperator::IndexNext() {
-  EXPLAINIT_RETURN_IF_ERROR(MaterializeInputShards());
+  // Aggregates read their groups' rows by index: drain into one input.
+  EXPLAINIT_RETURN_IF_ERROR(Drain(input_, &acc_));
+  retained_ptr_ = &acc_;
   const ColumnBatch input = ColumnBatch::View(acc_, 0, acc_.num_rows());
   const std::vector<BoundExpr>& keys = BindFor(acc_.schema()).keys;
-  const std::vector<RowRange> shards =
-      ShardRows(acc_.num_rows(), ctx_->parallelism);
+  const std::vector<RowRange> shards = ShardRows(acc_.num_rows(), shards_);
 
   // Phase 1: per-shard grouping of row indices (ascending within a
   // shard); the order vector borrows the map's node-stable keys.
@@ -583,7 +560,7 @@ Result<ColumnBatch> HashAggregateOperator::IndexNext() {
         return Status::OK();
       }));
   // Merge in shard order: concatenation keeps row indices ascending and
-  // first-appearance order identical to the serial pipeline.
+  // first-appearance order independent of the shard count.
   for (ShardIndex& local : locals) {
     for (const std::string* k : local.order) {
       std::vector<size_t>& rows = local.groups.at(*k);
@@ -601,36 +578,6 @@ Result<ColumnBatch> HashAggregateOperator::IndexNext() {
   EXPLAINIT_ASSIGN_OR_RETURN(ColumnBatch out, FinishGroups(input));
   stats_.detail = std::to_string(group_order_.size()) + " groups (" +
                   std::to_string(shards.size()) + " shards)";
-  return out;
-}
-
-Result<ColumnBatch> HashAggregateOperator::SerialNext() {
-  // Phase 1: consume batches, grouping rows incrementally. Keys are
-  // evaluated against each batch; row payloads accumulate column-wise.
-  // Keys containing LAG read neighbouring rows, so they are evaluated
-  // only after the whole input has accumulated.
-  retained_ptr_ = &acc_;
-  const bool lag_in_keys =
-      std::any_of(stmt_->group_by.begin(), stmt_->group_by.end(),
-                  [](const ExprPtr& g) { return ContainsLag(*g); });
-  bool child_eof = false;
-  while (true) {
-    EXPLAINIT_ASSIGN_OR_RETURN(ColumnBatch batch, input_->Next(&child_eof));
-    if (child_eof) break;
-    if (!lag_in_keys) {
-      EXPLAINIT_RETURN_IF_ERROR(
-          GroupRows(BindFor(batch.schema()).keys, batch, acc_.num_rows()));
-    }
-    batch.AppendTo(&acc_);
-  }
-  const ColumnBatch input = ColumnBatch::View(acc_, 0, acc_.num_rows());
-  if (lag_in_keys) {
-    EXPLAINIT_RETURN_IF_ERROR(GroupRows(BindFor(acc_.schema()).keys, input, 0));
-  }
-
-  // Phase 2: evaluate the select list per group.
-  EXPLAINIT_ASSIGN_OR_RETURN(ColumnBatch out, FinishGroups(input));
-  stats_.detail = std::to_string(group_order_.size()) + " groups";
   return out;
 }
 

@@ -1,26 +1,25 @@
-// HashAggregate: incremental hash grouping over input batches (group keys
-// are evaluated vectorised per batch), then per-group evaluation of the
-// select list / HAVING. A pipeline breaker: groups can only close once
-// the input is exhausted.
+// HashAggregate: hash grouping over input morsels, then per-group
+// evaluation of the select list / HAVING. A pipeline breaker: groups can
+// only close once the input is exhausted.
 //
-// With a parallel ExecContext the operator is morsel-parallel. Two modes:
+// The aggregate shape alone picks the algorithm; the parallelism level
+// only sets the shard count (EffectiveParallelism(ctx), or 1 when LAG
+// appears anywhere), and one shard is the serial case of the same code:
 //
 //  * partial mode — every aggregate call decomposes (COUNT/SUM/MIN/MAX/
-//    AVG): workers build per-shard hash tables of flat partial states
-//    (sum, non-null count, min, max, row count), a merge stage combines
-//    partials in shard order (so a given parallelism level is
-//    deterministic), and finalisation substitutes merged values for the
-//    aggregate nodes. Input morsels are the child's own batches when the
-//    child emits stable storage (no re-materialisation), else row shards
-//    of a one-time drain.
+//    AVG): each shard builds a hash table of flat partial states (sum,
+//    non-null count, min, max, row count) over a contiguous run of
+//    morsels, a merge stage combines partials in shard order (so a given
+//    shard count is deterministic), and finalisation substitutes merged
+//    values for the aggregate nodes. Morsels are the child's own batches
+//    (valid for the life of the tree, so buffered without copying), or
+//    row shards of acc_ when the input must be retained or LAG reads it
+//    as one relation.
 //  * index mode — non-decomposable aggregates (STDDEV, PERCENTILE, or
-//    malformed calls whose error messages the serial path owns): workers
-//    group row indices per shard, the merge concatenates them in shard
-//    order (preserving ascending row order), and the serial per-group
-//    evaluation runs in parallel across groups.
-//
-// Stages whose expressions contain LAG stay on the serial materialised
-// path: LAG reads neighbouring rows of the whole relation.
+//    malformed calls whose error messages ComputeAggregate owns): the
+//    input drains into acc_, shards group row indices, the merge
+//    concatenates them in shard order (preserving ascending row order),
+//    and the per-group evaluation fans out across groups.
 #pragma once
 
 #include <algorithm>
@@ -41,12 +40,10 @@ class HashAggregateOperator : public Operator {
 
   const table::Schema& output_schema() const override { return schema_; }
   std::string name() const override { return "HashAggregate"; }
-  bool StableBatches() const override { return true; }
 
-  /// The accumulated input rows (the aggregate materialises its input
-  /// on every path that retains); ORDER BY's last-resort resolution path
-  /// reads them. Null when constructed with retain_input == false and
-  /// the parallel partial path skipped materialisation.
+  /// The accumulated input rows; ORDER BY's last-resort resolution path
+  /// reads them. Always set when constructed with retain_input; null when
+  /// partial mode buffered the child's batches instead.
   const table::Table* retained_input() const override {
     return retained_ptr_;
   }
@@ -58,8 +55,8 @@ class HashAggregateOperator : public Operator {
  private:
   /// Flat partial state of one decomposable aggregate in one group.
   /// Argument-evaluation errors are captured per slot instead of failing
-  /// the whole phase: the serial pipeline only surfaces them when the
-  /// group survives HAVING, so eager partial evaluation must too.
+  /// the whole phase: they surface only when the group survives HAVING
+  /// and the slot is consulted, as in index mode.
   struct PartialState {
     double sum = 0.0;
     double min = 0.0;
@@ -106,19 +103,15 @@ class HashAggregateOperator : public Operator {
   /// Binds once per input schema object (not thread-safe: bind before
   /// fanning out).
   const Bindings& BindFor(const table::Schema& schema);
-  Result<table::ColumnBatch> SerialNext();
   Result<table::ColumnBatch> PartialNext();
   Result<table::ColumnBatch> IndexNext();
-  /// Adds rows of `batch` to groups_ (row indices offset by `base`).
-  Status GroupRows(const std::vector<BoundExpr>& keys,
-                   const table::ColumnBatch& batch, size_t base);
   /// Folds one batch into a shard's partial states.
   Status PartialAccumulate(const table::ColumnBatch& batch,
                            const Bindings& b, uint32_t batch_index,
                            ShardGroups* local) const;
-  /// Drains the input into acc_ and exposes it as one view batch per row
-  /// shard (the morsel source for the drained parallel variants).
-  Status MaterializeInputShards();
+  /// Fills morsels_ with partial mode's input: the child's batches, or
+  /// one view of acc_ per row shard when the input drains into acc_.
+  Status CollectMorsels();
   /// Evaluates HAVING, then (if the group survives) every select item of
   /// group `gi`, whose representative row is `rep` of `input`.
   /// fill(begin, end, &slots) computes aggregate slots [begin, end).
@@ -127,7 +120,7 @@ class HashAggregateOperator : public Operator {
                    size_t rep, const Fill& fill, size_t gi,
                    std::vector<char>* keep,
                    std::vector<std::vector<table::Value>>* values) const;
-  /// Per-group evaluation over groups_ (serial and index modes).
+  /// Index mode's per-group evaluation over groups_.
   Result<table::ColumnBatch> FinishGroups(const table::ColumnBatch& input);
   /// The single row of a global aggregate over an empty input.
   table::ColumnBatch EmptyGlobalRow();
@@ -148,6 +141,7 @@ class HashAggregateOperator : public Operator {
   std::unordered_map<std::string, std::vector<size_t>> groups_;
   std::vector<std::string> group_order_;
   bool done_ = false;
+  size_t shards_ = 1;  // set by NextImpl
 
   // Resolved at Open().
   bool lag_anywhere_ = false;
@@ -157,7 +151,7 @@ class HashAggregateOperator : public Operator {
   std::vector<char> count_star_;  // per slot: COUNT(*)
   std::vector<std::unique_ptr<Bindings>> bindings_;
   std::vector<const table::Schema*> bound_schemas_;  // parallel to bindings_
-  std::vector<table::ColumnBatch> morsels_;  // buffered/viewed input
+  std::vector<table::ColumnBatch> morsels_;  // partial mode's input
 };
 
 }  // namespace explainit::sql

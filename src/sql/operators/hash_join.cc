@@ -151,12 +151,9 @@ Status HashJoinOperator::OpenImpl() {
   }
 
   const size_t n = build_table_.num_rows();
-  parallel_ = ctx_ != nullptr && ctx_->parallel() && !lag_in_condition_;
-  const bool parallel = parallel_;
-  num_partitions_ = parallel ? std::max<size_t>(
-                                   1, std::min(ctx_->parallelism,
-                                               std::max<size_t>(1, n / 1024)))
-                             : 1;
+  const size_t parallelism = Parallelism();
+  num_partitions_ = std::max<size_t>(
+      1, std::min(parallelism, std::max<size_t>(1, n / 1024)));
 
   // Phase 1: encode every build row's key (sharded; shards write
   // disjoint ranges) and bucket non-null rows by partition per shard.
@@ -164,9 +161,7 @@ Status HashJoinOperator::OpenImpl() {
   // results.
   std::vector<std::string> keys(n);
   std::vector<char> null_key(n, 0);
-  const std::vector<RowRange> shards = ShardRows(n, parallel
-                                                        ? ctx_->parallelism
-                                                        : 1);
+  const std::vector<RowRange> shards = ShardRows(n, parallelism);
   // buckets[s][p]: this shard's rows for partition p, ascending.
   std::vector<std::vector<std::vector<size_t>>> buckets(
       num_partitions_ > 1 ? shards.size() : 0);
@@ -280,8 +275,7 @@ Result<ColumnBatch> HashJoinOperator::NextImpl(bool* eof) {
     // order (ascending probe row, matches ascending by build row).
     const size_t rows = batch.num_rows();
     const std::vector<RowRange> shards =
-        ShardRows(rows, parallel_ ? ctx_->parallelism : 1,
-                  kProbeShardMinRows);
+        ShardRows(rows, Parallelism(), kProbeShardMinRows);
     struct ProbeShard {
       ColumnBatch out;                    // kept candidates, owned
       std::vector<size_t> matched_build;  // build rows kept by residual

@@ -7,13 +7,13 @@
 // degenerates to a single-key cross product with the full condition as
 // residual (the nested-loop equivalent).
 //
-// Parallelism (ExecContext with parallelism > 1): the build side is
-// partitioned by key hash, per-partition indexes are built across the
-// pool, and each probe batch is sharded into contiguous row ranges that
-// probe concurrently. Per-shard candidates and build-side match sets
-// are merged in shard order, so output row order and match bookkeeping
-// are identical to the serial path (matches enumerate in ascending
-// build-row order at every parallelism level).
+// Parallelism sets the shard count (1 when LAG is in the condition): the
+// build side is partitioned by key hash, per-partition indexes are built
+// across the pool, and each probe batch is sharded into contiguous row
+// ranges that probe concurrently. Per-shard candidates and build-side
+// match sets are merged in shard order, so output row order and match
+// bookkeeping are identical at every shard count (matches enumerate in
+// ascending build-row order).
 //
 // Outer joins pad by the *actual* build side: unmatched probe rows pad
 // per batch (nulls on the build side's columns), unmatched build rows
@@ -60,8 +60,6 @@ class HashJoinOperator : public Operator {
     stats->join_build_partitions =
         std::max(stats->join_build_partitions, num_partitions_);
   }
-  /// Every emitted batch is owned (gathered candidates / outer pads).
-  bool StableBatches() const override { return true; }
 
  protected:
   Status OpenImpl() override;
@@ -77,6 +75,10 @@ class HashJoinOperator : public Operator {
   /// True when unmatched build rows must be emitted after the probe
   /// (FULL OUTER, or LEFT when the left input is the build side).
   bool NeedsBuildPads() const;
+  /// Build partitions and probe shards: 1 when LAG is in the condition.
+  size_t Parallelism() const {
+    return lag_in_condition_ ? 1 : EffectiveParallelism(ctx_);
+  }
   /// True when unmatched probe rows pad per batch (FULL OUTER, or LEFT
   /// when the left input is the probe side).
   bool NeedsProbePads() const;
@@ -108,8 +110,7 @@ class HashJoinOperator : public Operator {
   size_t probe_offset_ = 0;  // column offset of the probe side's fields
   size_t build_width_ = 0;
   size_t probe_width_ = 0;
-  bool lag_in_condition_ = false;  // LAG reads neighbours: probe serially
-  bool parallel_ = false;          // set once in Open, as Filter/Project do
+  bool lag_in_condition_ = false;  // LAG reads neighbours: one shard
   bool probe_done_ = false;
   size_t pad_pos_ = 0;  // build-row cursor of the chunked pad emission
   bool pads_emitted_ = false;

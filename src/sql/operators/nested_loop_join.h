@@ -23,8 +23,6 @@ class NestedLoopJoinOperator : public Operator {
   void AccumulateExecStats(ExecStats* stats) const override {
     if (join_->type != JoinType::kCross) ++stats->nested_loop_joins;
   }
-  /// Every emitted batch is owned (gathered candidates / outer pads).
-  bool StableBatches() const override { return true; }
 
  protected:
   Status OpenImpl() override;

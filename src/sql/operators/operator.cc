@@ -99,6 +99,62 @@ Status RunSharded(const ExecContext* ctx, size_t num_shards,
   return Status::OK();
 }
 
+MorselRounds::MorselRounds(Operator* input, const ExecContext* ctx,
+                           bool whole_input, Prepare prepare, Eval eval)
+    : input_(input),
+      ctx_(ctx),
+      whole_input_(whole_input),
+      prepare_(std::move(prepare)),
+      eval_(std::move(eval)) {}
+
+Result<table::ColumnBatch> MorselRounds::Next(bool* eof) {
+  while (true) {
+    while (pos_ < results_.size()) {
+      Result<table::ColumnBatch>& result = results_[pos_++];
+      if (result.ok() && result->num_rows() == 0) continue;
+      *eof = false;
+      return std::move(result);
+    }
+    if (!pull_error_.ok()) return pull_error_;
+    if (input_done_) {
+      *eof = true;
+      return table::ColumnBatch{};
+    }
+    PullRound();
+  }
+}
+
+void MorselRounds::PullRound() {
+  results_.clear();
+  pos_ = 0;
+  if (whole_input_) {
+    input_done_ = true;
+    drained_ = table::Table(input_->output_schema());
+    pull_error_ = Operator::Drain(input_, &drained_);
+    if (!pull_error_.ok()) return;
+    results_.emplace_back(
+        table::ColumnBatch::View(drained_, 0, drained_.num_rows()));
+  } else {
+    const size_t morsels = EffectiveParallelism(ctx_);
+    while (results_.size() < morsels) {
+      bool child_eof = false;
+      Result<table::ColumnBatch> batch = input_->Next(&child_eof);
+      if (!batch.ok() || child_eof) {
+        pull_error_ = batch.status();
+        input_done_ = true;
+        break;
+      }
+      results_.push_back(std::move(batch));
+    }
+  }
+  for (const Result<table::ColumnBatch>& batch : results_) prepare_(*batch);
+  // Each result keeps its own status, so a failure waits for its position.
+  (void)RunSharded(ctx_, results_.size(), [&](size_t i) -> Status {
+    results_[i] = eval_(std::move(results_[i]).value());
+    return Status::OK();
+  });
+}
+
 namespace {
 void AppendLength(size_t n, std::string* key) {
   const uint64_t len = n;

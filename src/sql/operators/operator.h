@@ -9,8 +9,13 @@
 //             lazily), so parents derive their schema from children here.
 //   Next()  — produces the next batch; sets *eof instead when exhausted.
 //
-// A produced batch may borrow column storage from its operator; it stays
-// valid until that operator's next Next()/destruction (see ColumnBatch).
+// A produced batch may borrow column storage from its operator's subtree;
+// it stays valid for the life of the tree (see ColumnBatch), so consumers
+// may buffer batches without copying them.
+//
+// Parallelism is a shard count, not a mode: every operator runs one code
+// path and splits its work into EffectiveParallelism(ctx) shards, so a
+// serial pipeline is the one-shard case of the same algorithm.
 #pragma once
 
 #include <functional>
@@ -53,13 +58,13 @@ struct ExecStats {
   size_t rows_output = 0;
   /// Degree of parallelism the query executed with (the executor knob).
   size_t parallelism = 1;
-  /// Shard/partition fan-out of the parallel operators in the last query
-  /// (maximum across operator instances; 1 when the path ran serially,
-  /// 0 when the operator did not appear in the plan).
+  /// Shard/partition fan-out of the join and sort in the last query
+  /// (maximum across operator instances; 1 at one shard, 0 when the
+  /// operator did not appear in the plan).
   size_t join_build_partitions = 0;
   size_t sort_shards = 0;
   /// Chunks the executor assembled the final result table from (1 = the
-  /// classic serial drain-and-append path).
+  /// drain-and-append path of parallelism 1).
   size_t materialize_chunks = 0;
   /// Linear-algebra stage breakdown of EXPLAIN/rank operators (summed over
   /// scoring worker threads): Gram/standardize construction, Cholesky
@@ -100,20 +105,6 @@ class Operator {
   virtual const table::Schema& output_schema() const = 0;
   virtual std::string name() const = 0;
 
-  /// The operator's complete output as one materialised table, when it has
-  /// one (catalog scans). Valid after Open(); null otherwise. Parallel
-  /// consumers shard directly over this storage instead of re-draining
-  /// the batch stream. The schema is the operator's *unqualified* backing
-  /// schema; callers pair it with output_schema() when they match.
-  virtual const table::Table* MaterializedTable() const { return nullptr; }
-
-  /// True when every batch this operator emits stays valid until the
-  /// operator is destroyed (owned storage or views into long-lived
-  /// member tables), rather than only until the next Next() call.
-  /// Valid after Open(). Parallel aggregation buffers such batches as
-  /// morsels without copying.
-  virtual bool StableBatches() const { return false; }
-
   /// Pre-projection input rows retained 1:1 with this operator's output
   /// (Project) or the accumulated aggregate input (HashAggregate); the
   /// ORDER BY resolution fallback reads them. Null when not retained.
@@ -138,6 +129,11 @@ class Operator {
 
   const OperatorStats& stats() const { return stats_; }
 
+  /// Pulls everything `op` has into `out` (appending column-wise). The
+  /// materialisation step of pipeline breakers (sort, join build) and of
+  /// LAG stages.
+  static Status Drain(Operator* op, table::Table* out);
+
   /// Ties an external object's lifetime to this operator. The planner
   /// uses it to keep optimiser-synthesised AST (owned by the LogicalPlan)
   /// alive exactly as long as the operators that reference it.
@@ -155,10 +151,6 @@ class Operator {
   }
   Operator* child(size_t i) const { return children_[i].get(); }
   size_t num_children() const { return children_.size(); }
-
-  /// Pulls everything a child has into `out` (appending column-wise).
-  /// The materialisation step of pipeline breakers (sort, join build).
-  static Status Drain(Operator* op, table::Table* out);
 
   mutable OperatorStats stats_;
 
@@ -203,21 +195,69 @@ std::vector<RowRange> ShardRows(size_t num_rows, size_t parallelism,
                                 size_t min_shard_rows = 1024);
 
 /// Runs fn(shard_index) for every shard over ctx->pool (inline when the
-/// context is serial or there is a single shard). Statuses are collected
+/// context has no pool or there is a single shard). Statuses are collected
 /// per shard and the first failure *in shard order* is returned, keeping
 /// error reporting deterministic under concurrency.
 Status RunSharded(const ExecContext* ctx, size_t num_shards,
                   const std::function<Status(size_t)>& fn);
 
 /// Parallelism the context actually provides: ctx->parallelism when a
-/// live pool backs it, 1 for null or serial contexts. The value every
-/// parallel operator hands to ShardRows.
+/// live pool backs it, 1 for null or pool-less contexts. The shard count
+/// every operator derives its fan-out from.
 inline size_t EffectiveParallelism(const ExecContext* ctx) {
   return ctx != nullptr && ctx->parallel() ? ctx->parallelism : 1;
 }
 
+/// The round loop of the streaming operators (Filter, Project): each child
+/// batch is one morsel, and parallelism is how many morsels a round
+/// evaluates at once. A round pulls up to EffectiveParallelism(ctx) child
+/// batches, shows each to `prepare` in pull order (schema binding, input
+/// retention), evaluates one batch per RunSharded task (inline when the
+/// round holds one batch) and hands the results out in pull order,
+/// skipping empty ones.
+///
+/// A failed evaluation, or a failed child Next() while a round is being
+/// pulled, keeps the batches before it: its Status surfaces only when the
+/// consumer reaches that position. So a LIMIT above stops at the same row,
+/// and surfaces the same error, at every parallelism level.
+///
+/// With `whole_input` (a stage whose expressions contain LAG, which reads
+/// neighbouring rows) there is one round: the whole drained input as one
+/// morsel, viewed over drained().
+class MorselRounds {
+ public:
+  using Prepare = std::function<void(const table::ColumnBatch&)>;
+  /// Turns one input batch into one output batch; runs concurrently with
+  /// the round's other morsels.
+  using Eval =
+      std::function<Result<table::ColumnBatch>(table::ColumnBatch input)>;
+
+  MorselRounds(Operator* input, const ExecContext* ctx, bool whole_input,
+               Prepare prepare, Eval eval);
+
+  Result<table::ColumnBatch> Next(bool* eof);
+
+  /// The drained input of a whole-input stage (empty otherwise). It lives
+  /// as long as this object, and so do the views over it.
+  const table::Table& drained() const { return drained_; }
+
+ private:
+  void PullRound();
+
+  Operator* input_;
+  const ExecContext* ctx_;
+  bool whole_input_;
+  Prepare prepare_;
+  Eval eval_;
+  table::Table drained_;
+  std::vector<Result<table::ColumnBatch>> results_;  // in pull order
+  size_t pos_ = 0;  // next result to hand out
+  Status pull_error_;  // the child's failure, due after results_
+  bool input_done_ = false;
+};
+
 /// True when the expression tree contains a LAG call (which must see the
-/// whole input, so batching is disabled for that stage).
+/// whole input, so that stage runs one shard over its drained input).
 bool ContainsLag(const Expr& e);
 
 /// Flattens an AND tree into its conjuncts (any other node is one

@@ -1,5 +1,7 @@
 #include "sql/operators/project.h"
 
+#include <algorithm>
+
 namespace explainit::sql {
 
 using table::ColumnBatch;
@@ -7,16 +9,30 @@ using table::DataType;
 using table::Field;
 using table::Value;
 
+namespace {
+bool AnyItemContainsLag(const SelectStatement& stmt) {
+  return std::any_of(stmt.items.begin(), stmt.items.end(),
+                     [](const SelectItem& item) {
+                       return !item.is_star && ContainsLag(*item.expr);
+                     });
+}
+}  // namespace
+
 ProjectOperator::ProjectOperator(std::unique_ptr<Operator> input,
                                  const SelectStatement* stmt,
                                  const FunctionRegistry* functions,
                                  bool retain_input, const ExecContext* ctx)
-    : stmt_(stmt),
+    : input_(AddChild(std::move(input))),
+      stmt_(stmt),
       functions_(functions),
       retain_input_(retain_input),
-      ctx_(ctx) {
-  input_ = AddChild(std::move(input));
-}
+      lag_(AnyItemContainsLag(*stmt)),
+      rounds_(input_, ctx, lag_,
+              [this](const ColumnBatch& b) {
+                bound_.For(b.schema());
+                if (retain_input_ && !lag_) b.AppendTo(&retained_);
+              },
+              [this](ColumnBatch b) { return ProjectBatch(std::move(b)); }) {}
 
 Status ProjectOperator::OpenImpl() {
   EXPLAINIT_RETURN_IF_ERROR(input_->Open());
@@ -33,99 +49,33 @@ Status ProjectOperator::OpenImpl() {
     schema_.AddField(Field{ItemName(item), DataType::kNull});
     columns_.push_back(OutputColumn{item.expr.get(), computed.size()});
     computed.push_back(item.expr.get());
-    if (ContainsLag(*item.expr)) materialize_ = true;
   }
   bound_ = SchemaBoundExprs(std::move(computed), functions_);
   bound_.For(in);
-  parallel_ = !materialize_ && ctx_ != nullptr && ctx_->parallel();
-  // The parallel path may also drain into retained_ (its fallback morsel
-  // source when the child's storage is not borrowable).
-  if (retain_input_ || materialize_ || parallel_) {
-    retained_ = table::Table(in);
-  }
+  retained_ = table::Table(in);
   return Status::OK();
 }
 
-Result<ColumnBatch> ProjectOperator::ProjectRows(const ColumnBatch& input,
-                                                 size_t begin, size_t end) {
+Result<ColumnBatch> ProjectOperator::ProjectBatch(ColumnBatch input) {
+  // The round's prepare step bound this schema: For() is a lookup here.
   const std::vector<BoundExpr>& items = bound_.For(input.schema());
-  ColumnBatch out(&schema_, end - begin);
+  const size_t rows = input.num_rows();
+  ColumnBatch out(&schema_, rows);
   for (const OutputColumn& col : columns_) {
     if (col.expr == nullptr) {
-      out.AddBorrowedColumn(input.column(col.index) + begin);
+      out.AddBorrowedColumn(input.column(col.index));
       continue;
     }
     std::vector<Value> values;
-    EXPLAINIT_RETURN_IF_ERROR(
-        items[col.index].Eval(input, begin, end, &values));
+    EXPLAINIT_RETURN_IF_ERROR(items[col.index].Eval(input, 0, rows, &values));
     out.AddOwnedColumn(std::move(values));
   }
+  out.AdoptStorage(std::move(input));
   return out;
 }
 
-Result<ColumnBatch> ProjectOperator::ParallelNext(bool* eof) {
-  if (!done_) {
-    done_ = true;
-    // Morsel source: borrow the child's materialised table when its
-    // schema object is the child's output schema, else drain once. The
-    // source doubles as the retained pre-projection rows (1:1).
-    const table::Table* source = input_->MaterializedTable();
-    if (source == nullptr ||
-        &source->schema() != &input_->output_schema()) {
-      EXPLAINIT_RETURN_IF_ERROR(Drain(input_, &retained_));
-      source = &retained_;
-    }
-    retained_ptr_ = source;
-    const std::vector<RowRange> shards =
-        ShardRows(source->num_rows(), ctx_->parallelism);
-    const ColumnBatch view = ColumnBatch::View(*source, 0, source->num_rows());
-    bound_.For(view.schema());  // bind before the fan-out
-    std::vector<ColumnBatch> outputs(shards.size());
-    EXPLAINIT_RETURN_IF_ERROR(RunSharded(
-        ctx_, shards.size(), [&](size_t s) -> Status {
-          EXPLAINIT_ASSIGN_OR_RETURN(
-              outputs[s], ProjectRows(view, shards[s].begin, shards[s].end));
-          return Status::OK();
-        }));
-    shard_output_ = std::move(outputs);
-    stats_.detail = std::to_string(shards.size()) + " shards";
-  }
-  while (emit_pos_ < shard_output_.size()) {
-    ColumnBatch batch = std::move(shard_output_[emit_pos_]);
-    ++emit_pos_;
-    if (batch.num_rows() == 0) continue;
-    *eof = false;
-    return batch;
-  }
-  *eof = true;
-  return ColumnBatch{};
-}
-
 Result<ColumnBatch> ProjectOperator::NextImpl(bool* eof) {
-  if (parallel_) return ParallelNext(eof);
-  if (materialize_) {
-    // LAG window: evaluate over the whole input at once. The retained
-    // table doubles as the materialised input.
-    if (done_) {
-      *eof = true;
-      return ColumnBatch{};
-    }
-    done_ = true;
-    EXPLAINIT_RETURN_IF_ERROR(Drain(input_, &retained_));
-    current_input_ = ColumnBatch::View(retained_, 0, retained_.num_rows());
-    *eof = false;
-    return ProjectRows(current_input_, 0, retained_.num_rows());
-  }
-  bool child_eof = false;
-  EXPLAINIT_ASSIGN_OR_RETURN(ColumnBatch batch, input_->Next(&child_eof));
-  if (child_eof) {
-    *eof = true;
-    return ColumnBatch{};
-  }
-  if (retain_input_) batch.AppendTo(&retained_);
-  current_input_ = std::move(batch);
-  *eof = false;
-  return ProjectRows(current_input_, 0, current_input_.num_rows());
+  return rounds_.Next(eof);
 }
 
 }  // namespace explainit::sql

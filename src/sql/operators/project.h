@@ -1,14 +1,13 @@
 // Project: evaluates the select list over batches. `SELECT *` columns
-// pass through as borrowed (zero-copy) columns; computed items become
-// owned columns. Items containing LAG materialise the whole input first.
-// When ORDER BY may reference unprojected columns, the operator also
-// retains its input rows (1:1 with the output) for the sort to consult.
-//
-// With a parallel ExecContext the projection is morsel-parallel: the
-// input is materialised once (borrowed from an already-materialised
-// child when possible), row shards evaluate the computed columns across
-// the pool, and per-shard batches are emitted in shard order with
-// pass-through columns still borrowed from the source table.
+// pass through as borrowed (zero-copy) columns — the output batch takes
+// over its input batch's owned storage, so they stay valid for the life
+// of the tree — and computed items become owned columns. Each child batch
+// is one morsel of the shared round loop (MorselRounds), so a round
+// projects up to EffectiveParallelism(ctx) batches across the pool and
+// emits them in pull order. Items containing LAG project the whole
+// drained input as one morsel. When ORDER BY may reference unprojected
+// columns, the operator also retains its input rows (1:1 with the output)
+// for the sort to consult.
 #pragma once
 
 #include "sql/bound_expr.h"
@@ -25,12 +24,12 @@ class ProjectOperator : public Operator {
 
   const table::Schema& output_schema() const override { return schema_; }
   std::string name() const override { return "Project"; }
-  bool StableBatches() const override { return materialize_ || parallel_; }
 
   /// The retained pre-projection rows (valid after execution, only when
   /// constructed with retain_input). Rows map 1:1 to output rows.
   const table::Table* retained_input() const override {
-    return retain_input_ ? retained_ptr_ : nullptr;
+    if (!retain_input_) return nullptr;
+    return lag_ ? &rounds_.drained() : &retained_;
   }
 
  protected:
@@ -43,30 +42,20 @@ class ProjectOperator : public Operator {
     size_t index = 0;  // input column (star) or bound item (computed)
   };
 
-  /// Projects rows [begin, end) of `input`; star columns borrow from it.
-  Result<table::ColumnBatch> ProjectRows(const table::ColumnBatch& input,
-                                         size_t begin, size_t end);
-  Result<table::ColumnBatch> ParallelNext(bool* eof);
+  /// Projects every row of `input`; star columns borrow from it.
+  Result<table::ColumnBatch> ProjectBatch(table::ColumnBatch input);
 
   Operator* input_;
   const SelectStatement* stmt_;
   const FunctionRegistry* functions_;
   bool retain_input_;
-  const ExecContext* ctx_;
-  bool materialize_ = false;  // LAG in a select item
-  bool parallel_ = false;     // sharded morsel path
+  bool lag_;  // LAG in a select item: one whole-input morsel
 
   table::Schema schema_;
   std::vector<OutputColumn> columns_;
   SchemaBoundExprs bound_;  // computed items, per input schema
-  table::ColumnBatch current_input_;  // keeps pass-through storage alive
-  table::Table materialized_;
   table::Table retained_;
-  const table::Table* retained_ptr_ = &retained_;
-  bool done_ = false;
-
-  std::vector<table::ColumnBatch> shard_output_;
-  size_t emit_pos_ = 0;
+  MorselRounds rounds_;
 };
 
 }  // namespace explainit::sql

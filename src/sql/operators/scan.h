@@ -37,10 +37,6 @@ class CatalogScanOperator : public Operator {
     stats->rows_scanned += table_.num_rows();
     if (hints_.min_step_seconds > 0) ++stats->rollup_hinted_scans;
   }
-  /// The scan's batches are views into table_, which lives as long as
-  /// the operator; parallel consumers shard over it directly.
-  const table::Table* MaterializedTable() const override { return &table_; }
-  bool StableBatches() const override { return true; }
 
  protected:
   Status OpenImpl() override;
@@ -68,7 +64,6 @@ class SubqueryScanOperator : public Operator {
 
   const table::Schema& output_schema() const override { return *schema_; }
   std::string name() const override { return "SubqueryScan"; }
-  bool StableBatches() const override { return input_->StableBatches(); }
 
  protected:
   Status OpenImpl() override;
@@ -86,7 +81,6 @@ class SingleRowOperator : public Operator {
  public:
   const table::Schema& output_schema() const override { return schema_; }
   std::string name() const override { return "SingleRow"; }
-  bool StableBatches() const override { return true; }
 
  protected:
   Status OpenImpl() override { return Status::OK(); }
@@ -108,12 +102,6 @@ class UnionAllOperator : public Operator {
     return child(0)->output_schema();
   }
   std::string name() const override { return "UnionAll"; }
-  bool StableBatches() const override {
-    for (size_t i = 0; i < num_children(); ++i) {
-      if (!child(i)->StableBatches()) return false;
-    }
-    return true;
-  }
 
  protected:
   Status OpenImpl() override;

@@ -169,67 +169,59 @@ Result<ColumnBatch> SortLimitOperator::NextImpl(bool* eof) {
     const std::vector<RowRange> shards =
         ShardRows(n, EffectiveParallelism(ctx_));
     sort_shards_ = shards.size();
-    std::vector<size_t> order;
-    if (shards.size() <= 1) {
-      order.resize(n);
-      std::iota(order.begin(), order.end(), size_t{0});
-      std::sort(order.begin(), order.end(), less);
-      order.resize(limit);
-    } else {
-      // Per-shard sort — a bounded top-K heap when LIMIT keeps fewer
-      // rows than the shard holds (the heap root is the worst kept
-      // row) — then a k-way merge over the shard fronts.
-      std::vector<std::vector<size_t>> local(shards.size());
-      EXPLAINIT_RETURN_IF_ERROR(RunSharded(
-          ctx_, shards.size(), [&](size_t s) -> Status {
-            std::vector<size_t>& idx = local[s];
-            const RowRange& range = shards[s];
-            if (has_limit && limit < range.size()) {
-              idx.reserve(limit + 1);
-              for (size_t r = range.begin; r < range.end; ++r) {
-                if (idx.size() < limit) {
-                  idx.push_back(r);
-                  std::push_heap(idx.begin(), idx.end(), less);
-                } else if (limit > 0 && less(r, idx.front())) {
-                  std::pop_heap(idx.begin(), idx.end(), less);
-                  idx.back() = r;
-                  std::push_heap(idx.begin(), idx.end(), less);
-                }
+    // Per-shard sort — a bounded top-K heap when LIMIT keeps fewer rows
+    // than the shard holds (the heap root is the worst kept row) — then
+    // a k-way merge over the shard fronts.
+    std::vector<std::vector<size_t>> local(shards.size());
+    EXPLAINIT_RETURN_IF_ERROR(RunSharded(
+        ctx_, shards.size(), [&](size_t s) -> Status {
+          std::vector<size_t>& idx = local[s];
+          const RowRange& range = shards[s];
+          if (has_limit && limit < range.size()) {
+            idx.reserve(limit + 1);
+            for (size_t r = range.begin; r < range.end; ++r) {
+              if (idx.size() < limit) {
+                idx.push_back(r);
+                std::push_heap(idx.begin(), idx.end(), less);
+              } else if (limit > 0 && less(r, idx.front())) {
+                std::pop_heap(idx.begin(), idx.end(), less);
+                idx.back() = r;
+                std::push_heap(idx.begin(), idx.end(), less);
               }
-              std::sort_heap(idx.begin(), idx.end(), less);
-            } else {
-              idx.resize(range.size());
-              std::iota(idx.begin(), idx.end(), range.begin);
-              std::sort(idx.begin(), idx.end(), less);
             }
-            return Status::OK();
-          }));
-      using HeapItem = std::pair<size_t, size_t>;  // (row, shard)
-      auto heap_greater = [&](const HeapItem& a, const HeapItem& b) {
-        return less(b.first, a.first);
-      };
-      std::priority_queue<HeapItem, std::vector<HeapItem>,
-                          decltype(heap_greater)>
-          heap(heap_greater);
-      std::vector<size_t> cursor(local.size(), 0);
-      for (size_t s = 0; s < local.size(); ++s) {
-        if (!local[s].empty()) heap.emplace(local[s][0], s);
-      }
-      order.reserve(limit);
-      while (!heap.empty() && order.size() < limit) {
-        const auto [row, s] = heap.top();
-        heap.pop();
-        order.push_back(row);
-        if (++cursor[s] < local[s].size()) {
-          heap.emplace(local[s][cursor[s]], s);
-        }
+            std::sort_heap(idx.begin(), idx.end(), less);
+          } else {
+            idx.resize(range.size());
+            std::iota(idx.begin(), idx.end(), range.begin);
+            std::sort(idx.begin(), idx.end(), less);
+          }
+          return Status::OK();
+        }));
+    using HeapItem = std::pair<size_t, size_t>;  // (row, shard)
+    auto heap_greater = [&](const HeapItem& a, const HeapItem& b) {
+      return less(b.first, a.first);
+    };
+    std::priority_queue<HeapItem, std::vector<HeapItem>,
+                        decltype(heap_greater)>
+        heap(heap_greater);
+    std::vector<size_t> cursor(local.size(), 0);
+    for (size_t s = 0; s < local.size(); ++s) {
+      if (!local[s].empty()) heap.emplace(local[s][0], s);
+    }
+    std::vector<size_t> order;
+    order.reserve(limit);
+    while (!heap.empty() && order.size() < limit) {
+      const auto [row, s] = heap.top();
+      heap.pop();
+      order.push_back(row);
+      if (++cursor[s] < local[s].size()) {
+        heap.emplace(local[s][cursor[s]], s);
       }
     }
     EXPLAINIT_RETURN_IF_ERROR(GatherSorted(output, order));
     stats_.detail = "rows=" + std::to_string(n) +
                     " shards=" + std::to_string(sort_shards_) +
-                    (has_limit && sort_shards_ > 1 && limit < n ? " top-k"
-                                                                : "");
+                    (has_limit && limit < n ? " top-k" : "");
   }
   if (pos_ >= sorted_.num_rows()) {
     *eof = true;

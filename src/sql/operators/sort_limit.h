@@ -9,13 +9,14 @@
 // values from the two schemas within a single item when evaluation
 // errored on only some rows.)
 //
-// Parallelism (ExecContext with parallelism > 1): sort keys evaluate in
-// row shards, each shard sorts its range (a bounded top-K heap when
-// LIMIT is present), and a k-way merge assembles the order. The
-// comparator totally orders rows (input index breaks ties), so the
-// result is byte-identical to the serial stable sort at every level.
-// The sorted table materialises column-wise in parallel (a gather, not
-// row-at-a-time appends).
+// One path at every parallelism level: sort keys evaluate in
+// EffectiveParallelism(ctx) row shards, each shard sorts its range (a
+// bounded top-K heap when LIMIT keeps fewer rows than it holds), and a
+// k-way merge assembles the order — a serial ORDER BY ... LIMIT is the
+// one-shard case, heap included. The comparator totally orders rows
+// (input index breaks ties), so the result is byte-identical to a stable
+// sort at every shard count. The sorted table materialises column-wise
+// across the shards (a gather, not row-at-a-time appends).
 #pragma once
 
 #include <algorithm>
@@ -43,9 +44,6 @@ class SortLimitOperator : public Operator {
     if (!stmt_->order_by.empty()) {
       stats->sort_shards = std::max(stats->sort_shards, sort_shards_);
     }
-  }
-  bool StableBatches() const override {
-    return !stmt_->order_by.empty() || input_->StableBatches();
   }
 
  protected:

@@ -31,6 +31,15 @@ void ColumnBatch::AddOwnedColumn(std::vector<Value> data) {
   cols_.push_back(owned_.back().data());
 }
 
+void ColumnBatch::AdoptStorage(ColumnBatch&& other) {
+  // Moving a vector keeps its buffer, so pointers into it stay valid.
+  for (std::vector<Value>& col : other.owned_) {
+    owned_.push_back(std::move(col));
+  }
+  other.owned_.clear();
+  other.cols_.clear();
+}
+
 ColumnBatch ColumnBatch::Gather(const std::vector<uint32_t>& indices) const {
   ColumnBatch out(schema_, indices.size());
   for (size_t c = 0; c < cols_.size(); ++c) {

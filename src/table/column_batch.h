@@ -5,9 +5,10 @@
 // (filter compaction, computed projections, join/aggregate outputs).
 //
 // Lifetime contract: a borrowed column (and the borrowed schema pointer)
-// must outlive the batch. In the operator pipeline the producing operator
-// keeps its backing storage alive until the consumer has processed the
-// batch, so a batch is valid until the next Next() call on its producer.
+// must outlive the batch. In the operator pipeline every borrowed column
+// points into storage its producer's tree keeps for its whole life (a
+// scan's table, a drained input, owned storage a projection took over),
+// so a batch stays valid for the life of the tree that produced it.
 #pragma once
 
 #include <cstdint>
@@ -54,6 +55,11 @@ class ColumnBatch {
 
   /// Attaches a column owned by this batch (size must equal num_rows()).
   void AddOwnedColumn(std::vector<Value> data);
+
+  /// Takes over `other`'s owned columns, so columns this batch borrows
+  /// from them (a projection's pass-through) stay valid as long as this
+  /// batch. `other` is left with no columns.
+  void AdoptStorage(ColumnBatch&& other);
 
   /// New batch (same schema) holding only the rows at `indices`; all
   /// columns become owned. The filter compaction step.

@@ -889,14 +889,21 @@ Status SeriesStore::LoadSnapshot(const std::string& path) {
   if (f == nullptr) {
     return Status::IOError("cannot open for reading: " + path);
   }
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  std::vector<uint8_t> buf(static_cast<size_t>(size));
-  const size_t read = std::fread(buf.data(), 1, buf.size(), f);
+  // Read in chunks until EOF: a size from ftell is not trustworthy (a
+  // directory opens fine and reports a huge size; ftell may fail with -1).
+  constexpr size_t kChunk = size_t{1} << 16;
+  std::vector<uint8_t> buf;
+  while (true) {
+    const size_t used = buf.size();
+    buf.resize(used + kChunk);
+    const size_t read = std::fread(buf.data() + used, 1, kChunk, f);
+    buf.resize(used + read);
+    if (read < kChunk) break;
+  }
+  const bool read_failed = std::ferror(f) != 0;
   std::fclose(f);
-  if (read != buf.size()) {
-    return Status::IOError("short read from " + path);
+  if (read_failed) {
+    return Status::IOError("cannot read " + path);
   }
   size_t offset = 0;
   uint32_t magic = 0;

@@ -14,6 +14,10 @@
 //   * The partitioned join, sharded sort and parallel materialisation
 //     produce byte-identical output at parallelism 1 vs 4, and record
 //     their fan-out in ExecStats.
+//   * LIMIT stops at the same row, and surfaces the same error, at
+//     parallelism 1 vs 4: Filter and Project evaluate child batches in
+//     rounds and defer a later batch's error to its position, so an
+//     error past the LIMIT never surfaces at either level.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -328,6 +332,120 @@ TEST_F(OperatorsTest, ParallelMaterialisationAssemblesChunks) {
   }
   EXPECT_GE(parallel.last_stats().materialize_chunks, 2u);
   EXPECT_EQ(serial.last_stats().materialize_chunks, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// LIMIT over streaming stages: same rows, same error, at every parallelism
+// ---------------------------------------------------------------------------
+
+class LimitParityTest : public ::testing::Test {
+ protected:
+  static constexpr size_t kRows = 5000;  // five batches
+
+  void SetUp() override {
+    functions_ = FunctionRegistry::Builtins();
+    Table t(Schema{{{"value", DataType::kInt64}}});
+    for (size_t i = 0; i < kRows; ++i) {
+      t.AppendRow({Value::Int(static_cast<int64_t>(i))});
+    }
+    catalog_.RegisterTable("t", std::move(t));
+  }
+
+  struct Run {
+    Result<Table> result;
+    ExecStats stats;
+  };
+
+  Run Query(const std::string& sql, size_t parallelism) {
+    Executor ex(&catalog_, &functions_, parallelism);
+    Result<Table> r = ex.Query(sql);
+    return Run{std::move(r), ex.last_stats()};
+  }
+
+  static const OperatorStats* Find(const ExecStats& stats,
+                                   const std::string& name) {
+    for (const OperatorStats& op : stats.operators) {
+      if (op.name == name) return &op;
+    }
+    return nullptr;
+  }
+
+  /// `sql` returns exactly one row, whose first column is `want`, at
+  /// parallelism 1 and 4.
+  void ExpectOneRow(const std::string& sql, int64_t want) {
+    for (const size_t p : {size_t{1}, size_t{4}}) {
+      Run run = Query(sql, p);
+      ASSERT_TRUE(run.result.ok())
+          << "p=" << p << ": " << run.result.status().ToString();
+      ASSERT_EQ(run.result->num_rows(), 1u) << "p=" << p;
+      EXPECT_EQ(run.result->At(0, 0).AsInt(), want) << "p=" << p;
+    }
+  }
+
+  Catalog catalog_;
+  FunctionRegistry functions_;
+};
+
+TEST_F(LimitParityTest, FilterErrorPastLimitDoesNotSurface) {
+  // Rows >= 3000 reference a missing column; LIMIT 1 is satisfied by the
+  // first batch, so neither level may evaluate far enough to see it.
+  ExpectOneRow(
+      "SELECT value FROM t "
+      "WHERE CASE WHEN value >= 3000 THEN nosuch > 0 ELSE TRUE END LIMIT 1",
+      0);
+}
+
+TEST_F(LimitParityTest, ProjectErrorPastLimitDoesNotSurface) {
+  ExpectOneRow(
+      "SELECT CASE WHEN value >= 3000 THEN nosuch ELSE value END AS v "
+      "FROM t LIMIT 1",
+      0);
+}
+
+TEST_F(LimitParityTest, FilterErrorDoesNotSurfaceThroughProjectReadAhead) {
+  // Scan -> Filter -> Project -> LIMIT: a parallel Project pulls several
+  // Filter outputs per round. Filter's third output is its error; the
+  // pull must defer it behind the two good batches, which LIMIT never
+  // gets past.
+  const std::string sql =
+      "SELECT value * 2 AS w FROM t "
+      "WHERE CASE WHEN value >= 2500 THEN nosuch > 0 ELSE TRUE END LIMIT 1";
+  ExpectOneRow(sql, 0);
+  Run run = Query(sql, 4);
+  EXPECT_NE(Find(run.stats, "Filter"), nullptr);
+  EXPECT_NE(Find(run.stats, "Project"), nullptr);
+}
+
+TEST_F(LimitParityTest, ErrorInFirstBatchSurfacesAtEveryLevel) {
+  for (const std::string& sql :
+       {std::string("SELECT value FROM t WHERE CASE WHEN value >= 10 "
+                    "THEN nosuch > 0 ELSE TRUE END LIMIT 1"),
+        std::string("SELECT CASE WHEN value >= 10 THEN nosuch ELSE value "
+                    "END AS v FROM t LIMIT 1")}) {
+    for (const size_t p : {size_t{1}, size_t{4}}) {
+      Run run = Query(sql, p);
+      ASSERT_FALSE(run.result.ok()) << "p=" << p << ": " << sql;
+      EXPECT_EQ(run.result.status().code(), StatusCode::kNotFound)
+          << "p=" << p << ": " << run.result.status().ToString();
+    }
+  }
+}
+
+TEST_F(LimitParityTest, FilterEmitsTheSameBatchesAtEveryLevel) {
+  // Each child batch is one morsel: a full drain emits one Filter batch
+  // per surviving input batch at both levels.
+  const std::string sql = "SELECT value FROM t WHERE value % 3 = 0";
+  Run serial = Query(sql, 1);
+  Run parallel = Query(sql, 4);
+  ASSERT_TRUE(serial.result.ok()) << serial.result.status().ToString();
+  ASSERT_TRUE(parallel.result.ok()) << parallel.result.status().ToString();
+  const OperatorStats* f1 = Find(serial.stats, "Filter");
+  const OperatorStats* f4 = Find(parallel.stats, "Filter");
+  ASSERT_NE(f1, nullptr);
+  ASSERT_NE(f4, nullptr);
+  EXPECT_EQ(f1->batches_output, 5u);
+  EXPECT_EQ(f4->batches_output, f1->batches_output);
+  EXPECT_EQ(f4->rows_output, f1->rows_output);
 }
 
 // ---------------------------------------------------------------------------

@@ -265,6 +265,49 @@ TEST(SnapshotTest, RejectsMissingAndCorruptFiles) {
   EXPECT_FALSE(store.LoadSnapshot(path).ok());
 }
 
+TEST(SnapshotTest, DirectoryAndEmptyFileAreTypedErrors) {
+  // A directory opens for reading and reports a huge size through
+  // ftell; the loader must not size a buffer from it.
+  SeriesStore store;
+  Status dir = Status::OK();
+  EXPECT_NO_THROW(dir = store.LoadSnapshot(::testing::TempDir()));
+  EXPECT_EQ(dir.code(), StatusCode::kIOError) << dir.ToString();
+
+  const std::string path = ::testing::TempDir() + "/empty.bin";
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fclose(f);
+  Status empty = Status::OK();
+  EXPECT_NO_THROW(empty = store.LoadSnapshot(path));
+  EXPECT_EQ(empty.code(), StatusCode::kParseError) << empty.ToString();
+  EXPECT_EQ(store.num_series(), 0u);
+}
+
+TEST(SnapshotTest, SnapshotLargerThanOneReadChunkRoundTrips) {
+  // Irregular values compress poorly: a few hundred KiB of snapshot, so
+  // the loader's chunked read crosses several chunk boundaries.
+  SeriesStore store;
+  uint64_t x = 88172645463325252ull;
+  for (int i = 0; i < 40000; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    const double v = static_cast<double>(x % 1000003) / 7.0;
+    ASSERT_TRUE(store.Write("m", TagSet{{"h", "x"}}, i * 60, v).ok());
+  }
+  const std::string path = ::testing::TempDir() + "/large.bin";
+  ASSERT_TRUE(store.SaveSnapshot(path).ok());
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  std::fseek(f, 0, SEEK_END);
+  EXPECT_GT(std::ftell(f), 3 * 65536L);
+  std::fclose(f);
+  SeriesStore loaded;
+  const Status s = loaded.LoadSnapshot(path);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(loaded.num_points(), store.num_points());
+}
+
 TEST(SnapshotTest, TruncatedSnapshotFailsCleanly) {
   SeriesStore store = MakeStore();
   const std::string path = ::testing::TempDir() + "/trunc.bin";
