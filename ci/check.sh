@@ -90,12 +90,18 @@ if [[ "${STAGE}" == "release" || "${STAGE}" == "all" ]]; then
   "${ROOT}/build/bench/server" --smoke "${ROOT}/build/BENCH_server.smoke.json"
 
   # Standing-query monitor: sliding-window runs under live ingestion must
-  # be byte-identical to bounded one-shot EXPLAINs, the shared scan must
-  # reuse window overlap, and a triggered monitor must fire on an injected
-  # §5.1 packet-drop fault with the true cause in a top-10.
+  # be byte-identical to bounded one-shot EXPLAINs, and a triggered
+  # monitor must fire on an injected §5.1 packet-drop fault with the true
+  # cause in a top-10.
   echo "=== bench smoke: monitor ==="
   "${ROOT}/build/bench/monitor" --smoke \
     "${ROOT}/build/BENCH_monitor.smoke.json"
+
+  # The repo benchmark builds src/ as a package of its own: its self-test
+  # builds it, runs every workload briefly and checks each output, so an
+  # API change that breaks the benchmark fails here.
+  echo "=== perfbench self-test ==="
+  python3 "${ROOT}/perfbench/run.py" --self-test
 fi
 
 if [[ "${STAGE}" == "asan" || "${STAGE}" == "all" ]]; then
@@ -110,7 +116,7 @@ if [[ "${STAGE}" == "tsan" || "${STAGE}" == "all" ]]; then
   # join/sort/materialisation paths) and the expression evaluator; the
   # worker pool itself; the tiered store's write/scan/seal concurrency;
   # parallel ranking and ridge fits; the server's sessions; and the
-  # monitor scheduler/write-tap/shared-scan paths. (ASan and TSan cannot
+  # monitor scheduler/write-tap/window-scan paths. (ASan and TSan cannot
   # share a build tree.)
   echo "=== configure: ${ROOT}/build-tsan (ThreadSanitizer) ==="
   cmake -B "${ROOT}/build-tsan" -S "${ROOT}" \

@@ -148,24 +148,29 @@ Engine::Engine(std::shared_ptr<tsdb::SeriesStore> store, EngineOptions options)
 
 void Engine::RegisterStoreTable(const std::string& table_name,
                                 const TimeRange& range) {
+  StoreTable table = StoreTableOver(range);
+  catalog_.RegisterHintedProvider(table_name, std::move(table.scan),
+                                  std::move(table.options));
+}
+
+StoreTable Engine::StoreTableOver(const TimeRange& range) const {
   std::shared_ptr<tsdb::SeriesStore> store = store_;
-  sql::HintedProviderOptions provider_options;
+  StoreTable table;
   // Live cardinality for the cost-based planner. The whole-store count
   // over-estimates range-restricted tables, but relative magnitudes (the
   // fact table dwarfs dimension tables) are what join ordering needs.
-  provider_options.estimated_rows = [store] { return store->num_points(); };
+  table.options.estimated_rows = [store] { return store->num_points(); };
   // Hints forward verbatim to SeriesStore::Scan, so count-rollup routing
   // (RollupAggregate::kCount + the COUNT -> __SUM_COUNT rewrite) is exact.
-  provider_options.exact_rollups = true;
-  catalog_.RegisterHintedProvider(
-      table_name,
-      [store, range](const tsdb::ScanHints& hints) -> Result<table::Table> {
-        tsdb::ScanRequest req;
-        req.range = range;
-        req.hints = hints;
-        return store->ScanToTable(req);
-      },
-      std::move(provider_options));
+  table.options.exact_rollups = true;
+  table.scan = [store, range](const tsdb::ScanHints& hints)
+      -> Result<table::Table> {
+    tsdb::ScanRequest req;
+    req.range = range;
+    req.hints = hints;
+    return store->ScanToTable(req);
+  };
+  return table;
 }
 
 Result<QueryResult> Engine::Query(std::string_view statement) {

@@ -85,6 +85,13 @@ Result<table::Table> NormalizeToFeatureFamilyTable(
     const table::Table& query_result,
     const std::string& default_family = "family");
 
+/// A hinted catalog provider over the store plus its catalog options;
+/// see Engine::StoreTableOver.
+struct StoreTable {
+  sql::HintedTableProvider scan;
+  sql::HintedProviderOptions options;
+};
+
 /// The engine facade. Holds one persistent sql::Executor for its
 /// lifetime, so execution statistics accumulate across queries.
 /// Not copyable/movable: the executor points into the engine's own
@@ -109,12 +116,18 @@ class Engine {
   Status FlushStore() { return store_->Flush(); }
   Status CompactStore() { return store_->Compact(); }
 
-  /// Exposes the store as a SQL table (schema: timestamp, metric_name,
-  /// tag, value) restricted to `range` — the paper's `tsdb` table. The
-  /// provider honours planner pushdown hints, so WHERE clauses on
-  /// timestamp / metric_name / tag narrow the actual store scan.
+  /// Registers StoreTableOver(range) as `table_name` in the engine
+  /// catalog — the paper's `tsdb` table.
   void RegisterStoreTable(const std::string& table_name,
                           const TimeRange& range);
+
+  /// The store as a SQL table (schema: timestamp, metric_name, tag,
+  /// value) restricted to `range`. The provider forwards the planner's
+  /// pushdown hints verbatim to the store scan, so WHERE clauses on
+  /// timestamp / metric_name / tag narrow the actual scan. A standing
+  /// monitor binds one per run over the run's window, so a slide issues
+  /// exactly the scans of the equivalent bounded one-shot EXPLAIN.
+  StoreTable StoreTableOver(const TimeRange& range) const;
 
   /// Runs one statement against the catalog: a SELECT through the
   /// vectorised pipeline, or an EXPLAIN statement planned into a

@@ -59,9 +59,10 @@ std::string ExtractMetricGlob(const sql::SelectStatement& stmt) {
 }  // namespace
 
 /// One standing query. Shared-ptr-held so an in-flight run survives a
-/// concurrent Drop. The private executor/statement/scans are only ever
+/// concurrent Drop. The private statement/catalog/executor are only ever
 /// touched by the single in-flight run (guarded by `in_flight`); the
-/// counters and scheduling state are guarded by the service mutex.
+/// scan counters are atomic; the run counters and scheduling state are
+/// guarded by the service mutex.
 struct MonitorService::Monitor {
   std::string name;
   MonitorMode mode = MonitorMode::kPeriodic;
@@ -71,10 +72,14 @@ struct MonitorService::Monitor {
   /// Service-owned deep copy (printer/parser round-trip); RunWindow
   /// mutates its BETWEEN bounds per slide.
   std::unique_ptr<sql::ExplainStatement> stmt;
-  /// Engine-catalog snapshot with shared-scan overlays on store tables.
+  /// Engine-catalog snapshot; RunWindow rebinds each of `store_tables`
+  /// to the store bounded to the run's window.
   sql::Catalog catalog;
   std::unique_ptr<sql::Executor> executor;
-  std::vector<std::shared_ptr<SharedWindowScan>> scans;
+  /// The hint-aware (store-backed) tables the statement reads.
+  std::vector<std::string> store_tables;
+  std::atomic<size_t> store_scans{0};
+  std::atomic<size_t> rows_scanned{0};
   std::shared_ptr<ScoreHistory> history;
   std::string target_glob = "*";
 
@@ -246,11 +251,8 @@ Result<std::shared_ptr<MonitorService::Monitor>> MonitorService::BuildMonitor(
   }
   m->stmt.reset(static_cast<sql::ExplainStatement*>(parsed.release()));
 
-  // Private catalog snapshot; overlay every store-backed table (the
-  // hint-aware providers) with this monitor's shared window scan. The
-  // overlay registers as a NON-hinted provider, so the planner keeps all
-  // WHERE conjuncts as residual filters and the cache only has to
-  // reproduce the raw window contents — hints cost rows, not correctness.
+  // Private catalog snapshot, so the per-run window bindings of the
+  // store-backed (hint-aware) tables never perturb concurrent sessions.
   m->catalog = engine_->catalog();
   std::vector<std::string> tables;
   if (m->stmt->target) CollectTables(*m->stmt->target, &tables);
@@ -259,11 +261,7 @@ Result<std::shared_ptr<MonitorService::Monitor>> MonitorService::BuildMonitor(
   std::sort(tables.begin(), tables.end());
   tables.erase(std::unique(tables.begin(), tables.end()), tables.end());
   for (const std::string& t : tables) {
-    if (!engine_->catalog().SupportsHints(t)) continue;
-    auto scan = std::make_shared<SharedWindowScan>(&engine_->store());
-    m->catalog.RegisterProvider(
-        t, [scan]() -> Result<table::Table> { return scan->Get(); });
-    m->scans.push_back(std::move(scan));
+    if (engine_->catalog().SupportsHints(t)) m->store_tables.push_back(t);
   }
 
   m->executor = std::make_unique<sql::Executor>(
@@ -368,17 +366,11 @@ Result<SharedScanStats> MonitorService::ScanStats(
     const std::string& name) const {
   std::lock_guard<std::mutex> lock(mutex_);
   EXPLAINIT_ASSIGN_OR_RETURN(std::shared_ptr<Monitor> m, FindLocked(name));
-  SharedScanStats total;
-  for (const auto& scan : m->scans) {
-    const SharedScanStats s = scan->stats();
-    total.store_scans += s.store_scans;
-    total.full_scans += s.full_scans;
-    total.delta_scans += s.delta_scans;
-    total.rows_reused += s.rows_reused;
-    total.rows_delta += s.rows_delta;
-    total.consumer_reads += s.consumer_reads;
-  }
-  return total;
+  SharedScanStats stats;
+  stats.store_scans = m->store_scans.load(std::memory_order_relaxed);
+  stats.full_scans = stats.store_scans;
+  stats.rows_delta = m->rows_scanned.load(std::memory_order_relaxed);
+  return stats;
 }
 
 Result<std::shared_ptr<ScoreHistory>> MonitorService::History(
@@ -445,11 +437,21 @@ Status MonitorService::RunWindow(const std::shared_ptr<Monitor>& m,
 
   const double wall_start = MonotonicSeconds();
   Status status = [&]() -> Status {
-    // BETWEEN is inclusive; scans/stores speak half-open.
-    const TimeRange half_open{inclusive_window.start,
-                              inclusive_window.end + 1};
-    for (const auto& scan : m->scans) {
-      EXPLAINIT_RETURN_IF_ERROR(scan->SetWindow(half_open));
+    // BETWEEN is inclusive; scans/stores speak half-open. Rebinding
+    // replaces the previous run's window; only this run reads m->catalog.
+    core::StoreTable window = engine_->StoreTableOver(
+        TimeRange{inclusive_window.start, inclusive_window.end + 1});
+    Monitor* counters = m.get();
+    auto counted = [counters, scan = std::move(window.scan)](
+                       const tsdb::ScanHints& hints) -> Result<table::Table> {
+      EXPLAINIT_ASSIGN_OR_RETURN(table::Table rows, scan(hints));
+      counters->store_scans.fetch_add(1, std::memory_order_relaxed);
+      counters->rows_scanned.fetch_add(rows.num_rows(),
+                                       std::memory_order_relaxed);
+      return rows;
+    };
+    for (const std::string& t : m->store_tables) {
+      m->catalog.RegisterHintedProvider(t, counted, window.options);
     }
     m->stmt->between_start = inclusive_window.start;
     m->stmt->between_end = inclusive_window.end;

@@ -3,14 +3,16 @@
 // `EXPLAIN ... EVERY 30s [TRIGGERED] INTO history` registers a monitor
 // instead of running once. A MonitorService owns the registered
 // monitors, schedules their runs on the shared worker pool with per-run
-// CancelToken deadlines, slides each monitor's BETWEEN window
-// incrementally (the target/GIVEN/USING sub-selects share one
-// multi-consumer SharedWindowScan, with the window's point vectors
-// carried across slides), appends every run's Score Table into a
-// catalog-registered ScoreHistory table, and — for TRIGGERED monitors —
-// arms a per-series EWMA anomaly detector on the store's write tap so
-// RCA fires when the target series goes anomalous rather than on a
-// timer. This is the paper's always-on deployment story.
+// CancelToken deadlines, runs each slide as the one-shot EXPLAIN over
+// its window (every store-backed table the statement reads is rebound,
+// per run, to the engine's own hinted store provider bounded to the
+// window, so a slide issues exactly the scans of the equivalent bounded
+// one-shot whatever order the points arrived in), appends every run's
+// Score Table into a catalog-registered ScoreHistory table, and — for
+// TRIGGERED monitors — arms a per-series EWMA anomaly detector on the
+// store's write tap so RCA fires when the target series goes anomalous
+// rather than on a timer. This is the paper's always-on deployment
+// story.
 //
 // Window semantics: the statement's BETWEEN [t0, t1] is run 0's window.
 // A periodic monitor's k-th run explains [t0 + k*EVERY, t1 + k*EVERY] —
@@ -40,7 +42,6 @@
 #include "exec/worker_pool.h"
 #include "monitor/anomaly.h"
 #include "monitor/history.h"
-#include "monitor/shared_scan.h"
 #include "sql/ast.h"
 #include "sql/executor.h"
 #include "table/table.h"
@@ -67,6 +68,18 @@ struct MonitorOptions {
   /// Minimum wall seconds between triggered runs of one monitor when it
   /// has no EVERY interval of its own.
   double trigger_cooldown_seconds = 5.0;
+};
+
+/// What a monitor's window-bounded store tables have scanned, summed
+/// over its runs. Every scan is a fresh window scan: no slide reuses a
+/// previous window, so `delta_scans` and `rows_reused` stay 0. They
+/// remain because the repo benchmark (perfbench) reads them.
+struct SharedScanStats {
+  size_t store_scans = 0;  // store scans issued
+  size_t full_scans = 0;   // equal to store_scans
+  size_t delta_scans = 0;
+  size_t rows_reused = 0;
+  size_t rows_delta = 0;   // rows those scans returned
 };
 
 enum class MonitorMode { kPeriodic, kTriggered };
@@ -135,8 +148,7 @@ class MonitorService {
   /// removes the write tap. Idempotent; the destructor calls it.
   void Stop();
 
-  /// Aggregated shared-scan statistics across a monitor's overlaid
-  /// store tables.
+  /// Store scans issued by a monitor's window-bounded tables.
   Result<SharedScanStats> ScanStats(const std::string& name) const;
 
   /// The monitor's score history (alive as long as any reference is —

@@ -17,36 +17,47 @@
 namespace explainit::monitor {
 namespace {
 
+struct Point {
+  std::string metric;
+  tsdb::TagSet tags;
+  EpochSeconds ts;
+  double value;
+};
+
 // Same causal world as the engine tests, on a minute grid:
 //   input_rate -> runtime (target) -> latency (effect); disk_noise is
-//   independent.
-std::shared_ptr<tsdb::SeriesStore> MakeStore(size_t t, uint64_t seed) {
-  auto store = std::make_shared<tsdb::SeriesStore>();
+//   independent. Points come time-major, one collector tick per minute.
+std::vector<Point> MakeWorld(size_t t, uint64_t seed) {
+  std::vector<Point> points;
   Rng rng(seed);
   for (size_t i = 0; i < t; ++i) {
     const EpochSeconds ts = static_cast<int64_t>(i) * 60;
     const double rate = rng.Normal(1000.0, 150.0);
     const double runtime = 0.01 * rate + rng.Normal() * 0.4;
     const double latency = 1.5 * runtime + rng.Normal() * 0.4;
-    EXPECT_TRUE(store
-                    ->Write("pipeline_input_rate",
-                            tsdb::TagSet{{"pipeline_name", "p1"}}, ts, rate)
-                    .ok());
-    EXPECT_TRUE(store
-                    ->Write("pipeline_runtime",
-                            tsdb::TagSet{{"pipeline_name", "p1"}}, ts,
-                            runtime)
-                    .ok());
-    EXPECT_TRUE(store
-                    ->Write("pipeline_latency",
-                            tsdb::TagSet{{"pipeline_name", "p1"}}, ts,
-                            latency)
-                    .ok());
-    EXPECT_TRUE(store
-                    ->Write("disk_noise", tsdb::TagSet{{"host", "dn-1"}}, ts,
-                            rng.Normal(5.0, 1.0))
-                    .ok());
+    const tsdb::TagSet pipeline{{"pipeline_name", "p1"}};
+    points.push_back({"pipeline_input_rate", pipeline, ts, rate});
+    points.push_back({"pipeline_runtime", pipeline, ts, runtime});
+    points.push_back({"pipeline_latency", pipeline, ts, latency});
+    points.push_back({"disk_noise", tsdb::TagSet{{"host", "dn-1"}}, ts,
+                      rng.Normal(5.0, 1.0)});
   }
+  return points;
+}
+
+// Writes the points `pick` selects, in order.
+template <typename Pick>
+void WritePoints(tsdb::SeriesStore& store, const std::vector<Point>& points,
+                 Pick pick) {
+  for (const Point& p : points) {
+    if (!pick(p)) continue;
+    EXPECT_TRUE(store.Write(p.metric, p.tags, p.ts, p.value).ok());
+  }
+}
+
+std::shared_ptr<tsdb::SeriesStore> MakeStore(size_t t, uint64_t seed) {
+  auto store = std::make_shared<tsdb::SeriesStore>();
+  WritePoints(*store, MakeWorld(t, seed), [](const Point&) { return true; });
   return store;
 }
 
@@ -60,9 +71,9 @@ constexpr const char* kMonitorSql =
     "SCORE BY 'L2' TOP 5 BETWEEN 0 AND 3599 EVERY 10m INTO hist";
 
 // The one-shot equivalent of run k of kMonitorSql. BETWEEN only sets the
-// Rank operator's scoring window; the monitor's shared scan additionally
-// restricts the *data* each sub-select sees to the window, so the
-// equivalent one-shot carries explicit timestamp bounds in every WHERE.
+// Rank operator's scoring window; a monitor run additionally bounds the
+// store scans to the window, so the equivalent one-shot carries explicit
+// timestamp bounds in every WHERE.
 std::string OneShotForWindow(EpochSeconds w0, EpochSeconds w1) {
   const std::string lo = std::to_string(w0);
   const std::string hi = std::to_string(w1);
@@ -76,6 +87,30 @@ std::string OneShotForWindow(EpochSeconds w0, EpochSeconds w1) {
          " GROUP BY timestamp, metric_name) "
          "SCORE BY 'L2' TOP 5 BETWEEN " +
          lo + " AND " + hi;
+}
+
+// Run `run` of the `hist` history must equal the bounded one-shot over
+// [w0, w1] row for row (same serial executor, same data -> bitwise-equal
+// scores).
+void ExpectRunMatchesOneShot(core::Engine& engine, int64_t run,
+                             EpochSeconds w0, EpochSeconds w1) {
+  auto runs = engine.Query(
+      "SELECT rank, family, score, run_ts FROM hist WHERE run = " +
+      std::to_string(run) + " ORDER BY rank");
+  ASSERT_TRUE(runs.ok()) << runs.status().ToString();
+  auto oneshot = engine.Query(OneShotForWindow(w0, w1));
+  ASSERT_TRUE(oneshot.ok()) << oneshot.status().ToString();
+  ASSERT_EQ(runs->table.num_rows(), oneshot->table.num_rows())
+      << "run " << run;
+  for (size_t r = 0; r < runs->table.num_rows(); ++r) {
+    SCOPED_TRACE("run " + std::to_string(run) + " row " + std::to_string(r));
+    EXPECT_EQ(runs->table.At(r, 0).AsInt(), oneshot->table.At(r, 0).AsInt());
+    EXPECT_EQ(runs->table.At(r, 1).AsString(),
+              oneshot->table.At(r, 1).AsString());
+    EXPECT_EQ(runs->table.At(r, 2).AsDouble(),
+              oneshot->table.At(r, 2).AsDouble());
+    EXPECT_EQ(runs->table.At(r, 3).AsTimestamp(), w1);
+  }
 }
 
 class MonitorTest : public ::testing::Test {
@@ -170,48 +205,90 @@ TEST_F(MonitorTest, PeriodicRunsAppendHistoryAndMatchOneShot) {
   EXPECT_EQ(statuses[0].last_window.end, 3600 + 1200);
 
   // The history is an ordinary engine-queryable table, and every run's
-  // rows match the equivalent bounded one-shot EXPLAIN exactly (same
-  // serial executor, same data -> bitwise-equal scores).
+  // rows match the equivalent bounded one-shot EXPLAIN exactly.
   for (int64_t k = 0; k < 3; ++k) {
-    const EpochSeconds w0 = k * 600;
-    const EpochSeconds w1 = 3599 + k * 600;
-    auto runs = engine_.Query(
-        "SELECT rank, family, score, run_ts FROM hist WHERE run = " +
-        std::to_string(k) + " ORDER BY rank");
-    ASSERT_TRUE(runs.ok()) << runs.status().ToString();
-    auto oneshot = engine_.Query(OneShotForWindow(w0, w1));
-    ASSERT_TRUE(oneshot.ok()) << oneshot.status().ToString();
-    ASSERT_EQ(runs->table.num_rows(), oneshot->table.num_rows())
-        << "run " << k;
-    for (size_t r = 0; r < runs->table.num_rows(); ++r) {
-      SCOPED_TRACE("run " + std::to_string(k) + " row " + std::to_string(r));
-      EXPECT_EQ(runs->table.At(r, 0).AsInt(),
-                oneshot->table.At(r, 0).AsInt());
-      EXPECT_EQ(runs->table.At(r, 1).AsString(),
-                oneshot->table.At(r, 1).AsString());
-      EXPECT_EQ(runs->table.At(r, 2).AsDouble(),
-                oneshot->table.At(r, 2).AsDouble());
-      EXPECT_EQ(runs->table.At(r, 3).AsTimestamp(), w1);
-    }
+    ExpectRunMatchesOneShot(engine_, k, k * 600, 3599 + k * 600);
   }
 }
 
-TEST_F(MonitorTest, SharedScanReusesPointsAcrossSlides) {
+// A slide issues exactly the store work of its bounded one-shot: the
+// window-bounded tables forward the planner's pushdown hints, so the
+// sub-selects' metric constraints narrow the scans (a non-hinted overlay
+// would return every metric's points).
+TEST_F(MonitorTest, SlideIssuesTheOneShotsStoreScans) {
   MonitorService service(&engine_);
   sql::Executor executor = MakeExecutor();
   ASSERT_TRUE(service.Query(executor, kMonitorSql).ok());
-  for (int k = 0; k < 3; ++k) {
-    ASSERT_TRUE(service.RunOnce("hist").ok()) << k;
-  }
+  tsdb::SeriesStore& store = engine_.store();
+
+  store.ResetScanStats();
+  ASSERT_TRUE(service.RunOnce("hist").ok());
+  const tsdb::ScanStats slide = store.scan_stats();
+
+  store.ResetScanStats();
+  ASSERT_TRUE(engine_.Query(OneShotForWindow(0, 3599)).ok());
+  const tsdb::ScanStats oneshot = store.scan_stats();
+
+  EXPECT_EQ(slide.scans, oneshot.scans);
+  EXPECT_EQ(slide.points_returned, oneshot.points_returned);
+
   auto stats = service.ScanStats("hist");
   ASSERT_TRUE(stats.ok());
-  // Run 0 pays a full store scan; later slides fetch only the delta and
-  // reuse the overlapping 50 minutes of each window.
-  EXPECT_GE(stats->full_scans, 1u);
-  EXPECT_GE(stats->delta_scans, 2u);
-  EXPECT_GT(stats->rows_reused, 0u);
-  // Both sub-selects read through the one shared scan per run.
-  EXPECT_GE(stats->consumer_reads, 6u);
+  EXPECT_EQ(stats->store_scans, slide.scans);
+  EXPECT_EQ(stats->rows_delta, slide.points_returned);
+  EXPECT_EQ(stats->delta_scans, 0u);
+  EXPECT_EQ(stats->rows_reused, 0u);
+}
+
+// Collectors do not arrive in lockstep. One series lags the others when
+// run 0 executes, then catches up with points newer than its own last
+// point but older than every other series' last point: run 1 must see
+// them.
+TEST(MonitorArrivalTest, LaggingSeriesPointsReachLaterSlides) {
+  const std::vector<Point> world = MakeWorld(80, 7);
+  auto lagging = [](const Point& p) {
+    return p.metric == "pipeline_input_rate" && p.ts >= 50 * 60;
+  };
+  core::Engine engine(std::make_shared<tsdb::SeriesStore>());
+  engine.RegisterStoreTable("tsdb", TimeRange{0, 120 * 60});
+  WritePoints(engine.store(), world,
+              [&](const Point& p) { return !lagging(p); });
+
+  MonitorService service(&engine);
+  sql::Executor executor(&engine.catalog(), &engine.functions(), 1,
+                         &exec::WorkerPool::Global());
+  ASSERT_TRUE(service.Query(executor, kMonitorSql).ok());
+  ASSERT_TRUE(service.RunOnce("hist").ok());
+  WritePoints(engine.store(), world, lagging);
+  ASSERT_TRUE(service.RunOnce("hist").ok());
+
+  ExpectRunMatchesOneShot(engine, 1, 600, 4199);
+}
+
+// A second point at a series' last timestamp (non-decreasing writes are
+// legal) written after run 0 must reach run 1.
+TEST(MonitorArrivalTest, RepeatedFrontierTimestampReachesLaterSlides) {
+  const std::vector<Point> world = MakeWorld(80, 7);
+  core::Engine engine(std::make_shared<tsdb::SeriesStore>());
+  engine.RegisterStoreTable("tsdb", TimeRange{0, 120 * 60});
+  WritePoints(engine.store(), world,
+              [](const Point& p) { return p.ts < 60 * 60; });
+
+  MonitorService service(&engine);
+  sql::Executor executor(&engine.catalog(), &engine.functions(), 1,
+                         &exec::WorkerPool::Global());
+  ASSERT_TRUE(service.Query(executor, kMonitorSql).ok());
+  ASSERT_TRUE(service.RunOnce("hist").ok());
+  ASSERT_TRUE(engine.store()
+                  .Write("pipeline_input_rate",
+                         tsdb::TagSet{{"pipeline_name", "p1"}}, 59 * 60,
+                         5000.0)
+                  .ok());
+  WritePoints(engine.store(), world,
+              [](const Point& p) { return p.ts >= 60 * 60; });
+  ASSERT_TRUE(service.RunOnce("hist").ok());
+
+  ExpectRunMatchesOneShot(engine, 1, 600, 4199);
 }
 
 TEST_F(MonitorTest, DropKeepsHistoryQueryableAndAllowsRebind) {
