@@ -134,6 +134,7 @@ int Run() {
       "SELECT FF.ts, FF.v, Target.v FROM FF "
       "JOIN Target ON FF.ts = Target.ts");
   const double hash_sec = MonotonicSeconds() - t0;
+  const size_t hash_joins = executor.last_stats().hash_joins;
   t0 = MonotonicSeconds();
   // <= AND >= is the same predicate but not extractable as an equi-key:
   // the executor falls back to the nested loop.
@@ -141,7 +142,7 @@ int Run() {
       "SELECT FF.ts, FF.v, Target.v FROM FF "
       "JOIN Target ON FF.ts <= Target.ts AND FF.ts >= Target.ts");
   const double loop_sec = MonotonicSeconds() - t0;
-  const auto& st = executor.stats();
+  const size_t nested_loop_joins = executor.last_stats().nested_loop_joins;
   std::printf(
       "\nhypothesis join of %zu x %zu rows:\n"
       "  hash (broadcast) join: %8.4fs (%zu rows)\n"
@@ -149,7 +150,7 @@ int Run() {
       "  speedup: %.0fx   [hash joins: %zu, nested: %zu]\n",
       rows, rows, hash_sec, hash.ok() ? hash->num_rows() : 0, loop_sec,
       loop.ok() ? loop->num_rows() : 0, loop_sec / hash_sec,
-      st.hash_joins, st.nested_loop_joins);
+      hash_joins, nested_loop_joins);
   const bool joins_agree = hash.ok() && loop.ok() &&
                            hash->num_rows() == loop->num_rows();
   const bool hash_wins = loop_sec / hash_sec > 10.0;

@@ -10,8 +10,11 @@
 //      EXPLAIN whose sub-selects carry explicit timestamp bounds (a
 //      monitor run bounds its store scans to the window; BETWEEN alone
 //      only sets the Rank operator's scoring range).
-//   2. Overhead: the same standing query slid N times timed against N
-//      back-to-back one-shot EXPLAINs over the same windows.
+//   2. Overhead: R rounds (5 full, 1 smoke), each timing the same N
+//      windows both ways: a freshly registered standing query slid N
+//      times, and N back-to-back one-shot EXPLAINs. The side that goes
+//      first alternates per round; the per-side median over the rounds
+//      and the ratio of the medians are reported (no gate).
 //   3. Trigger latency: a TRIGGERED monitor armed on the KPI, fault
 //      injected mid-stream; wall time from fault onset to a ranked score
 //      table, and the true cause must land in the top 10.
@@ -119,11 +122,32 @@ size_t CompareRun(const table::Table& history, int64_t run,
   return failures;
 }
 
-struct PhaseTimings {
-  double standing_seconds = 0;
-  double oneshot_seconds = 0;
-  size_t runs = 0;
-  size_t parity_failures = 0;
+/// One side's phase-2 time per round, in seconds.
+struct SideTimes {
+  std::vector<double> rounds;
+
+  double Median() const {
+    std::vector<double> v = rounds;
+    std::sort(v.begin(), v.end());
+    const size_t n = v.size();
+    if (n == 0) return 0.0;
+    return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+  }
+  double Min() const {
+    return rounds.empty() ? 0.0
+                          : *std::min_element(rounds.begin(), rounds.end());
+  }
+  double Max() const {
+    return rounds.empty() ? 0.0
+                          : *std::max_element(rounds.begin(), rounds.end());
+  }
+  std::string Json() const {
+    char buf[128];
+    std::snprintf(buf, sizeof(buf),
+                  "{\"median\": %.4f, \"min\": %.4f, \"max\": %.4f}",
+                  Median(), Min(), Max());
+    return buf;
+  }
 };
 
 }  // namespace
@@ -143,6 +167,7 @@ int main(int argc, char** argv) {
 
   const size_t minutes = smoke ? 240 : 480;
   const size_t runs = smoke ? 3 : 6;
+  const size_t rounds = smoke ? 1 : 5;
   sim::DatacentreConfig config;
   config.num_pipelines = 2;
   const TimeRange range{0, static_cast<int64_t>(minutes) * 60};
@@ -227,7 +252,8 @@ int main(int argc, char** argv) {
   // Phase 2: standing-query overhead vs back-to-back one-shots on a
   // quiesced store (no collector contention in the timings).
   // -------------------------------------------------------------------
-  PhaseTimings timings;
+  SideTimes standing;
+  SideTimes oneshot;
   {
     sim::DatacentreModel model(config);
     auto store = std::make_shared<tsdb::SeriesStore>();
@@ -244,29 +270,46 @@ int main(int argc, char** argv) {
     monitor::MonitorService service(&engine);
     sql::Executor executor(&engine.catalog(), &engine.functions(), 1,
                            &exec::WorkerPool::Global());
-    auto reg = service.Query(executor, StandingSql("EVERY 10m INTO perf"));
-    if (!reg.ok()) return 1;
 
-    timings.runs = runs;
-    const double standing_t0 = MonotonicSeconds();
-    for (size_t k = 0; k < runs; ++k) {
-      if (!service.RunOnce("perf").ok()) return 1;
+    // Slides 0..runs-1 of a fresh monitor, timed.
+    auto time_standing = [&](size_t round) -> bool {
+      const std::string name = "perf" + std::to_string(round);
+      auto reg =
+          service.Query(executor, StandingSql("EVERY 10m INTO " + name));
+      if (!reg.ok()) return false;
+      const double t0 = MonotonicSeconds();
+      for (size_t k = 0; k < runs; ++k) {
+        if (!service.RunOnce(name).ok()) return false;
+      }
+      standing.rounds.push_back(MonotonicSeconds() - t0);
+      return service.Drop(name).ok();
+    };
+    // The one-shot EXPLAINs over the same windows, timed.
+    auto time_oneshot = [&]() -> bool {
+      const double t0 = MonotonicSeconds();
+      for (size_t k = 0; k < runs; ++k) {
+        const EpochSeconds w0 = static_cast<int64_t>(k) * kStrideSeconds;
+        auto r = engine.Query(OneShotSql(w0, w0 + kWindowSeconds - 1));
+        if (!r.ok()) return false;
+      }
+      oneshot.rounds.push_back(MonotonicSeconds() - t0);
+      return true;
+    };
+    for (size_t round = 0; round < rounds; ++round) {
+      const bool standing_first = round % 2 == 0;
+      const bool ok = standing_first
+                          ? time_standing(round) && time_oneshot()
+                          : time_oneshot() && time_standing(round);
+      if (!ok) return 1;
     }
-    timings.standing_seconds = MonotonicSeconds() - standing_t0;
 
-    const double oneshot_t0 = MonotonicSeconds();
-    for (size_t k = 0; k < runs; ++k) {
-      const EpochSeconds w0 = static_cast<int64_t>(k) * kStrideSeconds;
-      auto r = engine.Query(OneShotSql(w0, w0 + kWindowSeconds - 1));
-      if (!r.ok()) return 1;
-    }
-    timings.oneshot_seconds = MonotonicSeconds() - oneshot_t0;
-
-    std::printf("  phase 2: standing=%.3fs one-shot=%.3fs (%.2fx)\n",
-                timings.standing_seconds, timings.oneshot_seconds,
-                timings.standing_seconds > 0
-                    ? timings.oneshot_seconds / timings.standing_seconds
-                    : 0.0);
+    std::printf(
+        "  phase 2: %zu rounds of %zu slides, median standing=%.3fs "
+        "(%.3f-%.3f) one-shot=%.3fs (%.3f-%.3f), one-shot/standing "
+        "%.2fx\n",
+        rounds, runs, standing.Median(), standing.Min(), standing.Max(),
+        oneshot.Median(), oneshot.Min(), oneshot.Max(),
+        standing.Median() > 0 ? oneshot.Median() / standing.Median() : 0.0);
   }
 
   // -------------------------------------------------------------------
@@ -396,18 +439,16 @@ int main(int argc, char** argv) {
       "{\n  \"bench\": \"monitor\",\n  \"smoke\": %s,\n"
       "  \"world_minutes\": %zu,\n  \"window_seconds\": %lld,\n"
       "  \"stride_seconds\": %lld,\n  \"runs\": %zu,\n"
-      "  \"parity_failures\": %zu,\n"
-      "  \"standing_seconds\": %.4f,\n  \"oneshot_seconds\": %.4f,\n"
+      "  \"parity_failures\": %zu,\n  \"rounds\": %zu,\n"
+      "  \"standing_seconds\": %s,\n  \"oneshot_seconds\": %s,\n"
       "  \"oneshot_over_standing\": %.3f,\n"
       "  \"trigger\": {\"fired\": %s, \"latency_seconds\": %.4f, "
       "\"true_cause_top10\": %s, \"top_family\": \"%s\"}\n}\n",
       smoke ? "true" : "false", minutes,
       static_cast<long long>(kWindowSeconds),
-      static_cast<long long>(kStrideSeconds), runs, parity_failures,
-      timings.standing_seconds, timings.oneshot_seconds,
-      timings.standing_seconds > 0
-          ? timings.oneshot_seconds / timings.standing_seconds
-          : 0.0,
+      static_cast<long long>(kStrideSeconds), runs, parity_failures, rounds,
+      standing.Json().c_str(), oneshot.Json().c_str(),
+      standing.Median() > 0 ? oneshot.Median() / standing.Median() : 0.0,
       trigger_fired ? "true" : "false",
       trigger_latency_seconds, cause_top10 ? "true" : "false",
       top_family.c_str());

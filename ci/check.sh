@@ -116,7 +116,7 @@ if [[ "${STAGE}" == "tsan" || "${STAGE}" == "all" ]]; then
   # join/sort/materialisation paths) and the expression evaluator; the
   # worker pool itself; the tiered store's write/scan/seal concurrency;
   # parallel ranking and ridge fits; the server's sessions; and the
-  # monitor scheduler/write-tap/window-scan paths. (ASan and TSan cannot
+  # monitor scheduler and write tap. (ASan and TSan cannot
   # share a build tree.)
   echo "=== configure: ${ROOT}/build-tsan (ThreadSanitizer) ==="
   cmake -B "${ROOT}/build-tsan" -S "${ROOT}" \

@@ -271,7 +271,6 @@ Result<ScoreTable> Engine::Rank(const RankRequest& request) {
     candidates.push_back(f);
   }
   RankingOptions opts = request.ranking;
-  if (opts.top_k == 0) opts.top_k = options_.top_k;
   if (opts.num_threads == 0) opts.num_threads = options_.num_threads;
   return RankFamilies(
       *scorer, request.target,

@@ -23,7 +23,6 @@ namespace explainit::core {
 
 /// Engine-wide options.
 struct EngineOptions {
-  size_t top_k = 20;        // paper default
   size_t num_threads = 0;   // ranking fan-out; 0 = hardware concurrency
   /// Degree of parallelism of the SQL pipeline (morsel-parallel
   /// Filter/Project/HashAggregate). 1 = serial streaming operators;
@@ -59,7 +58,8 @@ struct QueryResult {
   sql::ExecStats stats;
   sql::StatementKind kind = sql::StatementKind::kSelect;
   /// Populated for EXPLAIN statements: the typed Score Table behind
-  /// `table` (sparkline viz, RankOf, the rank-stage wall time).
+  /// `table` (sparkline viz, RankOf, the rank-stage wall time and its
+  /// gram/factor/solve/predict and scoring-cache counters in `stage`).
   std::optional<ScoreTable> score_table;
 };
 
@@ -93,7 +93,7 @@ struct StoreTable {
 };
 
 /// The engine facade. Holds one persistent sql::Executor for its
-/// lifetime, so execution statistics accumulate across queries.
+/// lifetime; each statement's statistics come back in QueryResult::stats.
 /// Not copyable/movable: the executor points into the engine's own
 /// catalog and function registry.
 class Engine {
@@ -150,14 +150,6 @@ class Engine {
   /// SHOW MONITORS) are InvalidArgument: they need a MonitorService.
   Result<QueryResult> ExecuteStatement(sql::Executor& executor,
                                        const sql::Statement& stmt);
-
-  /// Cumulative execution statistics across every Query() call.
-  const sql::ExecStats& exec_stats() const { return executor_.stats(); }
-  /// Statistics (with the per-operator breakdown) of the last query.
-  const sql::ExecStats& last_exec_stats() const {
-    return executor_.last_stats();
-  }
-  void ResetExecStats() { executor_.ResetStats(); }
 
   /// Builds families by scanning the store over `range` and grouping.
   Result<std::vector<FeatureFamily>> FamiliesFromStore(

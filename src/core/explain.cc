@@ -76,7 +76,7 @@ Status RankOperator::OpenImpl() {
   EXPLAINIT_ASSIGN_OR_RETURN(req.candidates, FamiliesFromTable(space_ff));
 
   req.scorer_name = params_.scorer_name;
-  req.ranking.top_k = params_.top_k;
+  if (params_.top_k.has_value()) req.ranking.top_k = *params_.top_k;
   req.ranking.render_viz = true;
   req.ranking.explain_range = params_.explain_range;
   // The hypothesis fan-out rides the executor's (shared) pool; a serial
@@ -98,16 +98,6 @@ Status RankOperator::OpenImpl() {
       num_candidates,
       ctx_ != nullptr && ctx_->parallel() ? ctx_->parallelism : size_t{1});
   return Status::OK();
-}
-
-void RankOperator::AccumulateExecStats(sql::ExecStats* stats) const {
-  const RankStageStats& s = score_table_.stage;
-  stats->rank_gram_ns += s.gram_ns;
-  stats->rank_factor_ns += s.factor_ns;
-  stats->rank_solve_ns += s.solve_ns;
-  stats->rank_predict_ns += s.predict_ns;
-  stats->rank_cache_hits += s.total_hits();
-  stats->rank_cache_misses += s.total_misses();
 }
 
 Result<table::ColumnBatch> RankOperator::NextImpl(bool* eof) {

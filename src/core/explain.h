@@ -39,8 +39,8 @@ class RankOperator : public sql::Operator {
  public:
   struct Params {
     std::string scorer_name = "L2-P50";
-    /// Score Table cutoff; 0 = the engine default.
-    size_t top_k = 0;
+    /// Score Table cutoff (TOP k); unset keeps RankingOptions' default.
+    std::optional<size_t> top_k;
     /// BETWEEN t0 AND t1, converted to a half-open range (Figure 2's
     /// range-to-explain).
     std::optional<TimeRange> explain_range;
@@ -62,12 +62,9 @@ class RankOperator : public sql::Operator {
   std::string name() const override { return "Rank"; }
 
   /// The typed Score Table behind the relational output (valid after
-  /// Open): sparklines, RankOf() and the rank-stage wall time.
+  /// Open): sparklines, RankOf(), the rank-stage wall time and its
+  /// gram/factor/solve/predict and scoring-cache breakdown (`stage`).
   const ScoreTable& score_table() const { return score_table_; }
-
-  /// Publishes the ranking-stage timing breakdown and scoring-cache
-  /// counters into the executor's ExecStats.
-  void AccumulateExecStats(sql::ExecStats* stats) const override;
 
  protected:
   Status OpenImpl() override;

@@ -133,7 +133,7 @@ Result<ScoreTable> RankFamilies(const Scorer& scorer,
   // and the conditional Y~Z fit instead of recomputing them per hypothesis.
   std::unique_ptr<stats::ScoringCache> cache;
   if (options.share_scoring_cache) {
-    cache = std::make_unique<stats::ScoringCache>(options.scoring_cache_bytes);
+    cache = std::make_unique<stats::ScoringCache>();
   }
   stats::StageCounters counters;
   ScoringContext ctx;

@@ -110,9 +110,6 @@ struct RankingOptions {
   /// identical for every candidate, so the first scorer computes them and
   /// the rest hit the cache. Does not change any score.
   bool share_scoring_cache = true;
-  /// Byte budget for the shared cache; entries past the budget are
-  /// recomputed by later hypotheses instead of stored.
-  size_t scoring_cache_bytes = size_t{256} << 20;
 };
 
 /// Scores `candidates` against `target` given optional `condition`,

@@ -33,9 +33,6 @@
 // Sizing is affinity-aware: the default thread count is the number of
 // CPUs the process is actually allowed to run on (sched_getaffinity on
 // Linux — container/cgroup masks respected), not hardware_concurrency().
-// Options::pin_threads additionally pins worker i to the i-th allowed
-// CPU round-robin, which spreads workers across NUMA nodes on hosts
-// whose CPUs enumerate node-major.
 #pragma once
 
 #include <atomic>
@@ -54,20 +51,10 @@ namespace explainit::exec {
 
 class TaskGroup;
 
-struct WorkerPoolOptions {
-  /// Worker count; 0 = one per schedulable CPU.
-  size_t num_threads = 0;
-  /// Pin worker i to the i-th allowed CPU (round-robin).
-  bool pin_threads = false;
-};
-
 class WorkerPool {
  public:
-  using Options = WorkerPoolOptions;
-
-  explicit WorkerPool(Options options = Options());
-  explicit WorkerPool(size_t num_threads)
-      : WorkerPool(Options{num_threads, false}) {}
+  /// `num_threads` workers; 0 = one per schedulable CPU.
+  explicit WorkerPool(size_t num_threads = 0);
   ~WorkerPool();
 
   WorkerPool(const WorkerPool&) = delete;
@@ -105,7 +92,7 @@ class WorkerPool {
   /// Runs one entry. `lock` must be held on entry and is held again on
   /// return; the task itself executes unlocked.
   void Execute(Entry entry, std::unique_lock<std::mutex>& lock);
-  void WorkerLoop(size_t index);
+  void WorkerLoop();
 
   mutable std::mutex mutex_;
   std::condition_variable wake_;

@@ -15,7 +15,6 @@ void Executor::set_parallelism(size_t parallelism) {
     parallelism = std::max(1u, std::thread::hardware_concurrency());
   }
   parallelism_ = parallelism;
-  stats_.parallelism = parallelism_;
   last_stats_.parallelism = parallelism_;
   ctx_.parallelism = parallelism_;
   ctx_.pool = parallelism_ > 1 ? pool_ : nullptr;
@@ -119,28 +118,6 @@ Result<table::Table> Executor::ExecuteTree(Operator* root) {
     pending_plan_ = nullptr;
   }
 
-  stats_.tables_scanned += last_stats_.tables_scanned;
-  stats_.rows_scanned += last_stats_.rows_scanned;
-  stats_.hash_joins += last_stats_.hash_joins;
-  stats_.nested_loop_joins += last_stats_.nested_loop_joins;
-  stats_.rows_output += last_stats_.rows_output;
-  stats_.join_build_partitions = std::max(stats_.join_build_partitions,
-                                          last_stats_.join_build_partitions);
-  stats_.sort_shards =
-      std::max(stats_.sort_shards, last_stats_.sort_shards);
-  stats_.materialize_chunks =
-      std::max(stats_.materialize_chunks, last_stats_.materialize_chunks);
-  stats_.rank_gram_ns += last_stats_.rank_gram_ns;
-  stats_.rank_factor_ns += last_stats_.rank_factor_ns;
-  stats_.rank_solve_ns += last_stats_.rank_solve_ns;
-  stats_.rank_predict_ns += last_stats_.rank_predict_ns;
-  stats_.rank_cache_hits += last_stats_.rank_cache_hits;
-  stats_.rank_cache_misses += last_stats_.rank_cache_misses;
-  stats_.joins_reordered += last_stats_.joins_reordered;
-  stats_.agg_pushdowns += last_stats_.agg_pushdowns;
-  stats_.count_rollup_rewrites += last_stats_.count_rollup_rewrites;
-  stats_.plan_text = last_stats_.plan_text;
-  stats_.operators = last_stats_.operators;
   return out;
 }
 

@@ -38,9 +38,8 @@
 
 namespace explainit::sql {
 
-/// Executes SELECT statements against a catalog. Engines hold one
-/// executor for their lifetime: the scalar ExecStats counters accumulate
-/// across queries, and last_stats() breaks down the most recent one.
+/// Executes SELECT statements against a catalog. last_stats() breaks
+/// down the most recent query.
 class Executor {
  public:
   /// `pool` is the shared worker pool parallel queries borrow; null means
@@ -88,7 +87,7 @@ class Executor {
   /// Opens and drains an operator tree built against this executor —
   /// PlanSelect output, or an externally assembled root such as core's
   /// Rank operator — materialising the result and recording the same
-  /// per-query + cumulative statistics as Execute().
+  /// per-query statistics as Execute().
   Result<table::Table> ExecuteTree(Operator* root);
 
   /// The execution context morsel-parallel operators (and the EXPLAIN
@@ -97,20 +96,8 @@ class Executor {
   /// tree execution has started.
   const ExecContext* exec_context() const { return &ctx_; }
 
-  /// Cumulative counters since construction / ResetStats(). The
-  /// `operators` breakdown always describes the most recent query.
-  const ExecStats& stats() const { return stats_; }
-
-  /// Counters and per-operator breakdown of the most recent query only.
+  /// Counters and per-operator breakdown of the most recent query.
   const ExecStats& last_stats() const { return last_stats_; }
-
-  void ResetStats() {
-    const size_t p = parallelism_;
-    stats_ = ExecStats{};
-    last_stats_ = ExecStats{};
-    stats_.parallelism = p;
-    last_stats_.parallelism = p;
-  }
 
  private:
   /// Binds the shared pool into ctx_ when parallelism_ > 1 (defaulting
@@ -123,7 +110,6 @@ class Executor {
   exec::WorkerPool* pool_ = nullptr;  // borrowed, never owned
   ExecContext ctx_;
   PlannerOptions optimizer_;
-  ExecStats stats_;       // cumulative
   ExecStats last_stats_;  // most recent query
   /// Logical plan of the most recent PlanSelect, consumed by the next
   /// ExecuteTree into last_stats_.plan_text (externally assembled trees

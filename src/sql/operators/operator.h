@@ -44,9 +44,8 @@ struct OperatorStats {
   int64_t elapsed_ns = 0;
 };
 
-/// Execution statistics for observability and the scalability benches.
-/// Scalar counters accumulate across queries (ResetStats clears); the
-/// `operators` vector holds the per-operator breakdown of one query.
+/// Execution statistics of one query, for observability and the
+/// scalability benches: scalar counters plus the per-operator breakdown.
 struct ExecStats {
   size_t tables_scanned = 0;
   size_t rows_scanned = 0;
@@ -66,17 +65,6 @@ struct ExecStats {
   /// Chunks the executor assembled the final result table from (1 = the
   /// drain-and-append path of parallelism 1).
   size_t materialize_chunks = 0;
-  /// Linear-algebra stage breakdown of EXPLAIN/rank operators (summed over
-  /// scoring worker threads): Gram/standardize construction, Cholesky
-  /// factorization, triangular solves, validation predict + r2.
-  int64_t rank_gram_ns = 0;
-  int64_t rank_factor_ns = 0;
-  int64_t rank_solve_ns = 0;
-  int64_t rank_predict_ns = 0;
-  /// Cross-hypothesis scoring-cache effectiveness (designs + factors +
-  /// whole conditional fits served cached vs computed).
-  size_t rank_cache_hits = 0;
-  size_t rank_cache_misses = 0;
   /// The logical plan (LogicalPlan::ToString) behind the last query, and
   /// the optimiser rewrites that fired: statements whose join order left
   /// statement order, partial aggregates placed below joins, and

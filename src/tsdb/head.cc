@@ -5,27 +5,15 @@
 namespace explainit::tsdb {
 
 Status SeriesHead::Append(EpochSeconds timestamp, double value) {
-  if (block_.num_points() == 0) {
-    first_append_walltime_ = MonotonicSeconds();
-  }
   return block_.Append(timestamp, value);
-}
-
-double SeriesHead::AgeSeconds() const {
-  if (block_.num_points() == 0) return 0.0;
-  return MonotonicSeconds() - first_append_walltime_;
 }
 
 CompressedBlock SeriesHead::Take() {
   CompressedBlock out = std::move(block_);
   block_ = CompressedBlock{};
-  first_append_walltime_ = 0.0;
   return out;
 }
 
-void SeriesHead::Restore(CompressedBlock block) {
-  block_ = std::move(block);
-  first_append_walltime_ = MonotonicSeconds();
-}
+void SeriesHead::Restore(CompressedBlock block) { block_ = std::move(block); }
 
 }  // namespace explainit::tsdb

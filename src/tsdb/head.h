@@ -1,8 +1,8 @@
 // The mutable head of one series: the small, append-optimised front of
 // the tiered store. All access is synchronised externally by the owning
 // stripe's mutex (SeriesStore); the head itself is plain data — an
-// in-progress Gorilla encoder plus enough bookkeeping for the sealer's
-// size/age thresholds. Scans snapshot the head by copying its (bounded)
+// in-progress Gorilla encoder whose point and byte counts feed the
+// sealer's size thresholds. Scans snapshot the head by copying its (bounded)
 // block under the stripe lock and decode the copy lock-free.
 #pragma once
 
@@ -21,10 +21,6 @@ class SeriesHead {
   size_t num_points() const { return block_.num_points(); }
   size_t byte_size() const { return block_.byte_size(); }
 
-  /// Wall-clock seconds since the first append of the current head
-  /// generation (0 when empty) — the sealer's age threshold input.
-  double AgeSeconds() const;
-
   /// The in-progress block (copy it under the stripe lock to snapshot).
   const CompressedBlock& block() const { return block_; }
 
@@ -37,7 +33,6 @@ class SeriesHead {
 
  private:
   CompressedBlock block_;
-  double first_append_walltime_ = 0.0;
 };
 
 }  // namespace explainit::tsdb

@@ -51,33 +51,6 @@ table::Value MakeTagsValue(const TagSet& tags) {
   return table::Value::Map(std::move(map));
 }
 
-/// Per-scan counters merged into the store's ScanStats once, at the end.
-struct ScanCounters {
-  size_t points_decoded = 0;
-  size_t points_returned = 0;
-  size_t head_points_decoded = 0;
-  size_t segment_points_decoded = 0;
-  size_t rollup_points_returned = 0;
-  size_t rollup_points_skipped = 0;
-  size_t minute_tier_points = 0;
-  size_t hour_tier_points = 0;
-  size_t segments_rollup_served = 0;
-  size_t segments_raw_fallback = 0;
-
-  void Merge(const ScanCounters& o) {
-    points_decoded += o.points_decoded;
-    points_returned += o.points_returned;
-    head_points_decoded += o.head_points_decoded;
-    segment_points_decoded += o.segment_points_decoded;
-    rollup_points_returned += o.rollup_points_returned;
-    rollup_points_skipped += o.rollup_points_skipped;
-    minute_tier_points += o.minute_tier_points;
-    hour_tier_points += o.hour_tier_points;
-    segments_rollup_served += o.segments_rollup_served;
-    segments_raw_fallback += o.segments_raw_fallback;
-  }
-};
-
 // Decodes `block` into `data`, keeping points inside `range`
 // (unrestricted when `bounded` is false). Returns how many points the
 // block held before windowing.
@@ -208,9 +181,7 @@ struct SeriesStore::Impl {
   bool ShouldSeal(const SeriesHead& head) const {
     if (head.empty()) return false;
     if (head.num_points() >= options.seal_max_points) return true;
-    if (head.byte_size() >= options.seal_max_bytes) return true;
-    return options.seal_max_age_seconds > 0 &&
-           head.AgeSeconds() >= options.seal_max_age_seconds;
+    return head.byte_size() >= options.seal_max_bytes;
   }
 
   /// Seals the entry's head into a new segment; stripe lock must be held.
@@ -479,7 +450,7 @@ struct SeriesSnapshot {
 // bucket lies entirely inside the window (tier_step 0: always raw).
 Status DecodeSnapshot(const SeriesSnapshot& snap, const TimeRange& window,
                       bool bounded, int64_t tier_step, RollupAggregate agg,
-                      SeriesData* data, ScanCounters* counters) {
+                      SeriesData* data, ScanStats* counters) {
   for (const auto& seg : snap.segments) {
     // Time pruning: a segment entirely outside the window decodes nothing.
     if (bounded && (seg->max_timestamp() < window.start ||
@@ -592,7 +563,7 @@ Result<std::vector<SeriesData>> SeriesStore::Scan(
   // the segment pointers — decoding is entirely lock-free, so scans never
   // block writers (and vice versa).
   std::vector<SeriesData> slots(matched.size());
-  std::vector<ScanCounters> counters(matched.size());
+  std::vector<ScanStats> counters(matched.size());
   std::vector<Status> statuses(matched.size(), Status::OK());
   auto decode_one = [&](size_t i) {
     const SeriesEntry& e = *matched[i];
@@ -626,17 +597,18 @@ Result<std::vector<SeriesData>> SeriesStore::Scan(
 
   std::vector<SeriesData> out;
   out.reserve(matched.size());
-  ScanCounters total;
+  ScanStats total;
+  total.scans = 1;
   for (size_t i = 0; i < matched.size(); ++i) {
     EXPLAINIT_RETURN_IF_ERROR(statuses[i]);
-    total.Merge(counters[i]);
+    total.Add(counters[i]);
     if (!slots[i].timestamps.empty()) out.push_back(std::move(slots[i]));
   }
 
   {
     std::lock_guard<std::mutex> lock(impl_->stats_mutex);
     ScanStats& st = impl_->scan_stats;
-    ++st.scans;
+    st.Add(total);
     st.series_matched = matched.size();
     st.last_range = window;
     st.last_metric_glob =
@@ -645,18 +617,22 @@ Result<std::vector<SeriesData>> SeriesStore::Scan(
             : (request.metric_glob == "*"
                    ? hints.metric_glob
                    : request.metric_glob + "&" + hints.metric_glob);
-    st.points_decoded += total.points_decoded;
-    st.points_returned += total.points_returned;
-    st.head_points_decoded += total.head_points_decoded;
-    st.segment_points_decoded += total.segment_points_decoded;
-    st.rollup_points_returned += total.rollup_points_returned;
-    st.rollup_points_skipped += total.rollup_points_skipped;
-    st.minute_tier_points += total.minute_tier_points;
-    st.hour_tier_points += total.hour_tier_points;
-    st.segments_rollup_served += total.segments_rollup_served;
-    st.segments_raw_fallback += total.segments_raw_fallback;
   }
   return out;
+}
+
+void ScanStats::Add(const ScanStats& o) {
+  scans += o.scans;
+  points_decoded += o.points_decoded;
+  points_returned += o.points_returned;
+  head_points_decoded += o.head_points_decoded;
+  segment_points_decoded += o.segment_points_decoded;
+  rollup_points_returned += o.rollup_points_returned;
+  rollup_points_skipped += o.rollup_points_skipped;
+  minute_tier_points += o.minute_tier_points;
+  hour_tier_points += o.hour_tier_points;
+  segments_rollup_served += o.segments_rollup_served;
+  segments_raw_fallback += o.segments_raw_fallback;
 }
 
 ScanStats SeriesStore::scan_stats() const {
@@ -725,7 +701,7 @@ Result<std::vector<SeriesData>> SeriesStore::ScanAligned(
       // Last observation per slot wins.
       aligned[static_cast<size_t>(slot)] = s.values[i];
     }
-    if (options.interpolate_missing) InterpolateMissing(aligned);
+    InterpolateMissing(aligned);
     s.timestamps = grid;
     s.values = std::move(aligned);
   }
@@ -964,8 +940,10 @@ Status SeriesStore::LoadSnapshot(const std::string& path) {
     }
     const std::string key = SeriesKey(e->meta.metric_name, e->meta.tags);
     e->stripe = std::hash<std::string>{}(key) % Impl::kStripeCount;
-    order.push_back(e);
-    by_key[key] = std::move(e);
+    if (!by_key.emplace(key, e).second) {
+      return Status::ParseError("duplicate series in snapshot: " + key);
+    }
+    order.push_back(std::move(e));
   }
   std::unique_lock<std::shared_mutex> lock(impl_->map_mutex);
   impl_->by_key = std::move(by_key);

@@ -6,7 +6,7 @@
 // Gorilla encoder behind a lock stripe) and a list of *immutable sealed
 // segments* (reference-counted; built with downsampled rollup tiers,
 // raw -> 1m -> 1h, at seal time). A background sealer/compactor on the
-// store's worker pool seals heads that exceed a size/age threshold and
+// store's worker pool seals heads that exceed a size threshold and
 // merges segment runs. Scans capture a per-series snapshot (shared_ptr
 // segments + a copy of the bounded head block) under the stripe lock and
 // decode entirely lock-free, so readers never block writers and every
@@ -134,6 +134,10 @@ struct ScanStats {
   /// Effective metric constraint of the most recent scan ("glob" or
   /// "glob&hint" when both applied).
   std::string last_metric_glob;
+
+  /// Adds `o`'s counters (scans, points, tiers, segments) into this one;
+  /// series_matched, last_range and last_metric_glob are left as is.
+  void Add(const ScanStats& o);
 };
 
 /// Lifetime storage-maintenance counters plus a point-in-time census of
@@ -152,11 +156,8 @@ struct StorageStats {
 struct StoreOptions {
   /// Seal a head once it holds this many points...
   size_t seal_max_points = 4096;
-  /// ...or this many compressed bytes...
+  /// ...or this many compressed bytes (Flush seals every head).
   size_t seal_max_bytes = 64 * 1024;
-  /// ...or once its oldest point is this many wall-clock seconds old
-  /// (checked on the next write to the series; 0 disables age sealing).
-  double seal_max_age_seconds = 0.0;
   /// Seal on the store's worker pool (false: inline on the writing
   /// thread — deterministic, used by tests).
   bool background_seal = true;
@@ -182,9 +183,6 @@ struct StoreOptions {
 /// Options for converting scans to a fixed minute grid.
 struct GridOptions {
   int64_t step_seconds = kSecondsPerMinute;
-  /// Fill policy for grid slots with no observation: interpolate to the
-  /// closest non-null observation (Appendix C), or leave NaN.
-  bool interpolate_missing = true;
 };
 
 /// An in-memory, write-optimised, concurrency-safe time series store.
@@ -264,9 +262,10 @@ class SeriesStore {
   void ResetScanStats();
   StorageStats storage_stats() const;
 
-  /// Scans and aligns to a regular grid over request.range; missing slots
-  /// are interpolated to the nearest observation (or NaN). All returned
-  /// series share the same timestamps vector length.
+  /// Scans and aligns to a regular grid over request.range; the last
+  /// observation in a slot wins and empty slots are interpolated to the
+  /// nearest observation (Appendix C). All returned series share the
+  /// same timestamps vector length.
   Result<std::vector<SeriesData>> ScanAligned(
       const ScanRequest& request, const GridOptions& options = {}) const;
 

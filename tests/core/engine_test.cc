@@ -206,24 +206,23 @@ TEST(EngineTest, SessionValidation) {
                false);  // target set: pseudocause ok
 }
 
-TEST(EngineTest, PersistentExecutorAccumulatesStats) {
-  // The engine holds one executor for its lifetime: counters survive
-  // across Query() calls, and last_exec_stats() isolates the latest query.
+TEST(EngineTest, QueryResultCarriesPerStatementStats) {
+  // Each QueryResult records its own statement only, although the engine
+  // runs every Query() on one persistent executor.
   Engine engine(MakeStore(50, 11));
   engine.RegisterStoreTable("tsdb", kRange);
-  ASSERT_TRUE(engine.Query("SELECT COUNT(*) AS n FROM tsdb").ok());
-  ASSERT_TRUE(
-      engine.Query("SELECT AVG(value) AS v FROM tsdb "
-                 "WHERE metric_name = 'disk_noise'")
-          .ok());
-  EXPECT_EQ(engine.exec_stats().tables_scanned, 2u);
-  EXPECT_EQ(engine.last_exec_stats().tables_scanned, 1u);
+  auto all = engine.Query("SELECT COUNT(*) AS n FROM tsdb");
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  auto noise = engine.Query(
+      "SELECT AVG(value) AS v FROM tsdb WHERE metric_name = 'disk_noise'");
+  ASSERT_TRUE(noise.ok()) << noise.status().ToString();
+  EXPECT_EQ(all->stats.tables_scanned, 1u);
+  EXPECT_EQ(all->stats.rows_scanned, 200u);
+  EXPECT_EQ(noise->stats.tables_scanned, 1u);
   // The second scan was narrowed by metric pushdown: 50 rows, not 200.
-  EXPECT_EQ(engine.last_exec_stats().rows_scanned, 50u);
-  EXPECT_EQ(engine.exec_stats().rows_scanned, 250u);
-  EXPECT_FALSE(engine.last_exec_stats().operators.empty());
-  engine.ResetExecStats();
-  EXPECT_EQ(engine.exec_stats().tables_scanned, 0u);
+  EXPECT_EQ(noise->stats.rows_scanned, 50u);
+  EXPECT_FALSE(noise->stats.operators.empty());
+  EXPECT_EQ(engine.executor().last_stats().rows_scanned, 50u);
 }
 
 TEST(EngineTest, StoreTablePushdownNarrowsScan) {
@@ -278,6 +277,28 @@ TEST(EngineTest, ExplainStatementProducesScoreTable) {
   // The Rank operator roots the plan and reports the fan-out detail.
   ASSERT_FALSE(result->stats.operators.empty());
   EXPECT_EQ(result->stats.operators[0].name, "Rank");
+}
+
+TEST(EngineTest, ExplainScoreTableCarriesRankStageBreakdown) {
+  // The rank stage's linear-algebra timings and scoring-cache counters
+  // live on the statement's Score Table.
+  Engine engine(MakeStore(200, 25));
+  engine.RegisterStoreTable("tsdb", kRange);
+  auto result = engine.Query(
+      "EXPLAIN (SELECT timestamp, AVG(value) AS y FROM tsdb "
+      "         WHERE metric_name = 'pipeline_runtime' GROUP BY timestamp) "
+      "USING (SELECT timestamp, metric_name, AVG(value) AS v FROM tsdb "
+      "       WHERE metric_name != 'pipeline_runtime' "
+      "       GROUP BY timestamp, metric_name) "
+      "SCORE BY 'L2'");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_TRUE(result->score_table.has_value());
+  // No TOP: every one of the three candidates is ranked.
+  EXPECT_EQ(result->score_table->rows.size(), 3u);
+  const RankStageStats& stage = result->score_table->stage;
+  EXPECT_GT(stage.gram_ns, 0);
+  EXPECT_GT(stage.total_misses(), 0u);
+  EXPECT_GT(stage.total_hits(), 0u);
 }
 
 TEST(EngineTest, ExplainScoreTableComposesWithSql) {

@@ -274,20 +274,19 @@ TEST_F(ExecutorTest, NonEquiJoinFallsBackToNestedLoop) {
   tb.AppendRow({Value::Int(3)});
   catalog_.RegisterTable("na", std::move(ta));
   catalog_.RegisterTable("nb", std::move(tb));
-  executor_->ResetStats();
   Table t = MustQuery(
       "SELECT na.v, nb.v FROM na JOIN nb ON na.v < nb.v");
   EXPECT_EQ(t.num_rows(), 1u);
-  EXPECT_EQ(executor_->stats().nested_loop_joins, 1u);
-  EXPECT_EQ(executor_->stats().hash_joins, 0u);
+  EXPECT_EQ(executor_->last_stats().nested_loop_joins, 1u);
+  EXPECT_EQ(executor_->last_stats().hash_joins, 0u);
 }
 
 TEST_F(ExecutorTest, EquiJoinUsesHashJoin) {
-  executor_->ResetStats();
   MustQuery(
       "SELECT * FROM processes a JOIN processes b ON a.hostname = "
       "b.hostname");
-  EXPECT_EQ(executor_->stats().hash_joins, 1u);
+  EXPECT_EQ(executor_->last_stats().hash_joins, 1u);
+  EXPECT_EQ(executor_->last_stats().nested_loop_joins, 0u);
 }
 
 TEST_F(ExecutorTest, UnionAllStacksRows) {

@@ -262,12 +262,14 @@ TEST_F(PlannerTest, PerOperatorCountersReportRows) {
   EXPECT_NE(agg->detail.find("4 groups"), std::string::npos) << agg->detail;
 }
 
-TEST_F(PlannerTest, CumulativeVersusLastStats) {
+TEST_F(PlannerTest, LastStatsDescribeOnlyTheLatestQuery) {
   MustQuery("SELECT value FROM tsdb WHERE metric_name = 'cpu'");
-  MustQuery("SELECT value FROM tsdb WHERE metric_name = 'mem'");
   EXPECT_EQ(executor_->last_stats().tables_scanned, 1u);
-  EXPECT_EQ(executor_->stats().tables_scanned, 2u);
-  EXPECT_EQ(executor_->stats().rows_output, 2u * 4u * kPoints);
+  EXPECT_EQ(executor_->last_stats().rows_output, 4u * kPoints);
+  MustQuery("SELECT COUNT(*) AS n FROM tsdb WHERE metric_name = 'mem'");
+  EXPECT_EQ(executor_->last_stats().tables_scanned, 1u);
+  EXPECT_EQ(executor_->last_stats().rows_scanned, 4u * kPoints);
+  EXPECT_EQ(executor_->last_stats().rows_output, 1u);
 }
 
 TEST_F(PlannerTest, StreamingLimitStopsScanEarly) {

@@ -140,20 +140,6 @@ TEST(StoreTest, ScanAlignedFillsGrid) {
   EXPECT_EQ(s.timestamps[4], 240);
 }
 
-TEST(StoreTest, ScanAlignedNoInterpolationLeavesNan) {
-  SeriesStore store;
-  ASSERT_TRUE(store.Write("m", TagSet{}, 0, 1.0).ok());
-  ScanRequest req;
-  req.metric_glob = "m";
-  req.range = {0, 180};
-  GridOptions opts;
-  opts.interpolate_missing = false;
-  auto res = store.ScanAligned(req, opts);
-  ASSERT_TRUE(res.ok());
-  EXPECT_EQ((*res)[0].values[0], 1.0);
-  EXPECT_TRUE(std::isnan((*res)[0].values[1]));
-}
-
 TEST(StoreTest, ScanAlignedRejectsEmptyRange) {
   SeriesStore store = MakeStore();
   ScanRequest req;
@@ -339,6 +325,56 @@ TEST(SnapshotTest, WrappingStringLengthIsParseError) {
   const Status s = loaded.LoadSnapshot(path);
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kParseError) << s.ToString();
+}
+
+TEST(SnapshotTest, DuplicateSeriesRecordIsParseError) {
+  // A snapshot listing one series twice would load as two entries under
+  // one key: scans return both, writes reach only one.
+  SeriesStore one;
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(one.Write("m", TagSet{{"h", "x"}}, i * 60, 1.0 + i).ok());
+  }
+  const std::string path = ::testing::TempDir() + "/dup.bin";
+  ASSERT_TRUE(one.SaveSnapshot(path).ok());
+  std::vector<uint8_t> bytes;
+  {
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    int c;
+    while ((c = std::fgetc(f)) != EOF) bytes.push_back(static_cast<uint8_t>(c));
+    std::fclose(f);
+  }
+  // Header: u32 magic, u64 series count; the one series record follows.
+  constexpr size_t kHeader = sizeof(uint32_t) + sizeof(uint64_t);
+  ASSERT_GT(bytes.size(), kHeader);
+  std::vector<uint8_t> dup(bytes.begin(), bytes.begin() + kHeader);
+  const uint64_t count = 2;
+  std::memcpy(dup.data() + sizeof(uint32_t), &count, sizeof(count));
+  for (int copy = 0; copy < 2; ++copy) {
+    dup.insert(dup.end(), bytes.begin() + kHeader, bytes.end());
+  }
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(dup.data(), 1, dup.size(), f), dup.size());
+    std::fclose(f);
+  }
+
+  SeriesStore store;
+  ASSERT_TRUE(store.Write("keep", TagSet{}, 0, 7.0).ok());
+  const Status s = store.LoadSnapshot(path);
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kParseError) << s.ToString();
+  EXPECT_NE(s.ToString().find("duplicate series"), std::string::npos)
+      << s.ToString();
+  // The store keeps its previous contents.
+  EXPECT_EQ(store.num_series(), 1u);
+  EXPECT_EQ(store.num_points(), 1u);
+  ScanRequest req;
+  auto scan = store.Scan(req);
+  ASSERT_TRUE(scan.ok());
+  ASSERT_EQ(scan->size(), 1u);
+  EXPECT_EQ((*scan)[0].meta.metric_name, "keep");
 }
 
 TEST(SnapshotTest, TieredStateRoundTripsWithDirtyHead) {
