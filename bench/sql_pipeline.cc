@@ -10,6 +10,10 @@
 //       first, the fact scan last) -> aggregate — the cost-based
 //       planner's join-reordering showcase, timed with the optimizer off
 //       vs on
+//   Q5  EXPLAIN's USING shape: GROUP BY timestamp and a CONCAT of the
+//       series' name and host — one group per point, the computed key
+//       repeating for every point of a series (the flat group table and
+//       per-run key evaluation showcase), reported as input rows/s
 // Seed-vs-pipeline result parity is verified for every configuration
 // *before* any timing is recorded; mismatches fail the bench. Emits
 // BENCH_sql_pipeline.json so the perf trajectory is recorded. On hosts
@@ -80,6 +84,12 @@ const char* kQ4 =
     "JOIN tsdb f ON f.tag['host'] = h.host AND f.timestamp = sl.b "
     "WHERE f.metric_name = 'latency' AND f.timestamp BETWEEN 240 AND 360 "
     "GROUP BY h.grp ORDER BY g";
+
+// Q5: the USING sub-select of an EXPLAIN over the latency metric.
+const char* kQ5 =
+    "SELECT timestamp, CONCAT(metric_name, '@', tag['host']) AS family, "
+    "AVG(value) AS v FROM tsdb WHERE metric_name = 'latency' "
+    "GROUP BY timestamp, CONCAT(metric_name, '@', tag['host'])";
 
 std::shared_ptr<tsdb::SeriesStore> BuildStore(size_t num_series) {
   auto store = std::make_shared<tsdb::SeriesStore>();
@@ -163,13 +173,14 @@ bool Matches(const QueryResult& seed, const QueryResult& pipe) {
 
 struct ParallelReport {
   size_t parallelism;
-  QueryResult q1, q2, q3;
+  QueryResult q1, q2, q3, q5;
   double q1_agg_self_sec = 1e300;  // HashAggregate self time in Q1
+  double q5_agg_self_sec = 1e300;  // and in Q5
 };
 
 struct ScaleReport {
   size_t series;
-  QueryResult q1_seed, q2_seed, q3_seed;
+  QueryResult q1_seed, q2_seed, q3_seed, q5_seed;
   std::vector<ParallelReport> pipeline;  // one entry per parallelism level
   bool match = true;
   /// Whole-query q1 at parallelism 1 over the best parallel level.
@@ -240,13 +251,15 @@ ScaleReport RunScale(size_t num_series) {
   const QueryResult q1_ref = Run(seed, kQ1);
   const QueryResult q2_ref = Run(seed, kQ2);
   const QueryResult q3_ref = Run(seed, kQ3);
+  const QueryResult q5_ref = Run(seed, kQ5);
   for (size_t p : ParallelismSweep()) {
     pipeline.set_parallelism(p);
     const QueryResult q1 = Run(pipeline, kQ1);
     const QueryResult q2 = Run(pipeline, kQ2);
     const QueryResult q3 = Run(pipeline, kQ3);
+    const QueryResult q5 = Run(pipeline, kQ5);
     if (!Matches(q1_ref, q1) || !Matches(q2_ref, q2) ||
-        !Matches(q3_ref, q3)) {
+        !Matches(q3_ref, q3) || !Matches(q5_ref, q5)) {
       std::fprintf(stderr,
                    "parity FAILED at %zu series, parallelism %zu\n",
                    num_series, p);
@@ -281,13 +294,14 @@ ScaleReport RunScale(size_t num_series) {
   // best-of-rounds damps scheduler noise on busy hosts.
   constexpr int kRounds = 3;
   const std::vector<size_t> sweep = ParallelismSweep();
-  rep.q1_seed.seconds = rep.q2_seed.seconds = rep.q3_seed.seconds = 1e300;
+  rep.q1_seed.seconds = rep.q2_seed.seconds = rep.q3_seed.seconds =
+      rep.q5_seed.seconds = 1e300;
   rep.q4_seed.seconds = rep.q4_off.seconds = rep.q4_on.seconds = 1e300;
   rep.pipeline.resize(sweep.size());
   for (size_t j = 0; j < sweep.size(); ++j) {
     rep.pipeline[j].parallelism = sweep[j];
     rep.pipeline[j].q1.seconds = rep.pipeline[j].q2.seconds =
-        rep.pipeline[j].q3.seconds = 1e300;
+        rep.pipeline[j].q3.seconds = rep.pipeline[j].q5.seconds = 1e300;
   }
   for (int round = 0; round < kRounds; ++round) {
     KeepMin(&rep.q1_seed, Run(seed, kQ1));
@@ -307,6 +321,14 @@ ScaleReport RunScale(size_t num_series) {
     for (size_t j = 0; j < sweep.size(); ++j) {
       pipeline.set_parallelism(sweep[j]);
       KeepMin(&rep.pipeline[j].q3, Run(pipeline, kQ3));
+    }
+    KeepMin(&rep.q5_seed, Run(seed, kQ5));
+    for (size_t j = 0; j < sweep.size(); ++j) {
+      pipeline.set_parallelism(sweep[j]);
+      KeepMin(&rep.pipeline[j].q5, Run(pipeline, kQ5));
+      rep.pipeline[j].q5_agg_self_sec =
+          std::min(rep.pipeline[j].q5_agg_self_sec,
+                   AggSelfSeconds(pipeline));
     }
     // Q4 off/on back to back within the round, parallelism 1 (the
     // reorder win is plan-level, not thread-level).
@@ -334,6 +356,11 @@ ScaleReport RunScale(size_t num_series) {
   return rep;
 }
 
+/// Q5's input rows (every latency point) per second.
+double Q5RowsPerSecond(const ScaleReport& r, const QueryResult& q5) {
+  return static_cast<double>(r.series * kPointsPerSeries) / q5.seconds;
+}
+
 void PrintScale(const ScaleReport& r) {
   std::printf(
       "%8zu series | Q1 seed %8.4fs | Q2 seed %8.4fs | Q3 seed %8.4fs "
@@ -357,6 +384,14 @@ void PrintScale(const ScaleReport& r) {
       "on %8.4fs | reorder %.2fx (%zu joins reordered)\n",
       r.q4_seed.seconds, r.q4_off.seconds, r.q4_on.seconds,
       r.q4_reorder_speedup, r.q4_joins_reordered);
+  std::printf("          Q5 group per point: seed %8.4fs (%.3g rows/s)",
+              r.q5_seed.seconds, Q5RowsPerSecond(r, r.q5_seed));
+  for (const ParallelReport& pr : r.pipeline) {
+    std::printf(" | p=%zu %8.4fs (%.3g rows/s, HashAggregate %.4fs)",
+                pr.parallelism, pr.q5.seconds, Q5RowsPerSecond(r, pr.q5),
+                pr.q5_agg_self_sec);
+  }
+  std::printf("\n");
 }
 
 int Main(int argc, char** argv) {
@@ -403,10 +438,10 @@ int Main(int argc, char** argv) {
         f,
         "    {\"series\": %zu, \"points\": %zu,\n"
         "     \"q1_seed_sec\": %.6f, \"q2_seed_sec\": %.6f, "
-        "\"q3_seed_sec\": %.6f,\n"
+        "\"q3_seed_sec\": %.6f, \"q5_seed_sec\": %.6f,\n"
         "     \"pipeline\": [\n",
         r.series, r.series * kPointsPerSeries, r.q1_seed.seconds,
-        r.q2_seed.seconds, r.q3_seed.seconds);
+        r.q2_seed.seconds, r.q3_seed.seconds, r.q5_seed.seconds);
     for (size_t j = 0; j < r.pipeline.size(); ++j) {
       const ParallelReport& pr = r.pipeline[j];
       std::fprintf(
@@ -417,12 +452,15 @@ int Main(int argc, char** argv) {
           "\"q2_sec\": %.6f, \"q2_rows\": %zu, "
           "\"q2_speedup_vs_seed\": %.2f, "
           "\"q3_sec\": %.6f, \"q3_rows\": %zu, "
-          "\"q3_speedup_vs_seed\": %.2f}%s\n",
+          "\"q3_speedup_vs_seed\": %.2f, "
+          "\"q5_sec\": %.6f, \"q5_rows\": %zu, "
+          "\"q5_rows_per_sec\": %.0f, \"q5_hashagg_self_sec\": %.6f}%s\n",
           pr.parallelism, pr.q1.seconds, pr.q1.rows,
           r.q1_seed.seconds / pr.q1.seconds, pr.q1_agg_self_sec,
           pr.q2.seconds, pr.q2.rows, r.q2_seed.seconds / pr.q2.seconds,
           pr.q3.seconds, pr.q3.rows, r.q3_seed.seconds / pr.q3.seconds,
-          j + 1 < r.pipeline.size() ? "," : "");
+          pr.q5.seconds, pr.q5.rows, Q5RowsPerSecond(r, pr.q5),
+          pr.q5_agg_self_sec, j + 1 < r.pipeline.size() ? "," : "");
     }
     std::fprintf(
         f,

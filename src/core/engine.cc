@@ -66,77 +66,6 @@ Status AlignFamilies(std::vector<FeatureFamily>* families) {
   return Status::OK();
 }
 
-Result<table::Table> NormalizeToFeatureFamilyTable(
-    const table::Table& query_result, const std::string& default_family) {
-  if (query_result.num_columns() == 0) {
-    return Status::InvalidArgument("empty query result");
-  }
-  // Locate the ts column.
-  std::optional<size_t> ts_idx = query_result.schema().FieldIndex("ts");
-  if (!ts_idx) ts_idx = query_result.schema().FieldIndex("timestamp");
-  if (!ts_idx) {
-    for (size_t c = 0; c < query_result.num_columns() && !ts_idx; ++c) {
-      for (size_t r = 0; r < query_result.num_rows(); ++r) {
-        if (query_result.At(r, c).is_null()) continue;
-        if (query_result.At(r, c).type() == table::DataType::kTimestamp) {
-          ts_idx = c;
-        }
-        break;
-      }
-    }
-  }
-  if (!ts_idx) {
-    return Status::InvalidArgument(
-        "query result has no timestamp column (expected 'ts'/'timestamp' or "
-        "a TIMESTAMP-typed column)");
-  }
-  // Locate the family-name column: first string-valued non-ts column.
-  std::optional<size_t> name_idx = query_result.schema().FieldIndex("name");
-  if (name_idx.has_value() && *name_idx == *ts_idx) name_idx.reset();
-  if (!name_idx) {
-    for (size_t c = 0; c < query_result.num_columns() && !name_idx; ++c) {
-      if (c == *ts_idx) continue;
-      for (size_t r = 0; r < query_result.num_rows(); ++r) {
-        if (query_result.At(r, c).is_null()) continue;
-        if (query_result.At(r, c).type() == table::DataType::kString) {
-          name_idx = c;
-        }
-        break;
-      }
-    }
-  }
-  table::Schema schema({{"ts", table::DataType::kTimestamp},
-                        {"name", table::DataType::kString},
-                        {"v", table::DataType::kMap}});
-  table::Table out(schema);
-  const size_t ts_col = *ts_idx;
-  const size_t name_col = name_idx.value_or(std::numeric_limits<size_t>::max());
-  for (size_t r = 0; r < query_result.num_rows(); ++r) {
-    const table::Value& ts = query_result.At(r, ts_col);
-    if (ts.is_null()) continue;
-    std::string family = default_family;
-    if (name_col != std::numeric_limits<size_t>::max()) {
-      const table::Value& nv = query_result.At(r, name_col);
-      if (!nv.is_null()) family = nv.AsString();
-    }
-    table::ValueMap v;
-    for (size_t c = 0; c < query_result.num_columns(); ++c) {
-      if (c == ts_col || c == name_col) continue;
-      const table::Value& cell = query_result.At(r, c);
-      if (cell.AsMap() != nullptr) {
-        // Flatten nested maps (a query may project an existing v column).
-        for (const auto& [k, mv] : *cell.AsMap()) v[k] = mv;
-        continue;
-      }
-      v[query_result.schema().field(c).name] = cell;
-    }
-    out.AppendRow({table::Value::Timestamp(ts.AsTimestamp()),
-                   table::Value::String(family),
-                   table::Value::Map(std::move(v))});
-  }
-  return out;
-}
-
 Engine::Engine(std::shared_ptr<tsdb::SeriesStore> store, EngineOptions options)
     : store_(std::move(store)),
       options_(options),
@@ -233,10 +162,7 @@ Result<std::vector<FeatureFamily>> Engine::FamiliesFromStore(
 Result<std::vector<FeatureFamily>> Engine::FamiliesFromQuery(
     std::string_view query, const std::string& default_family) {
   EXPLAINIT_ASSIGN_OR_RETURN(QueryResult result, Query(query));
-  EXPLAINIT_ASSIGN_OR_RETURN(table::Table ff,
-                             NormalizeToFeatureFamilyTable(result.table,
-                                                           default_family));
-  return FamiliesFromTable(ff);
+  return FamiliesFromQueryResult(result.table, default_family);
 }
 
 Result<FeatureFamily> Engine::FamilyFromMetric(const std::string& metric_glob,

@@ -72,19 +72,6 @@ FeatureFamily MergeFamilies(const std::vector<FeatureFamily>& families,
 /// different sources (SQL results, store scans) rankable together.
 Status AlignFamilies(std::vector<FeatureFamily>* families);
 
-/// Normalises an arbitrary SQL result into the Figure 4 Feature Family
-/// Table schema (ts, name, v):
-///  - the ts column is the first TIMESTAMP-typed column (or one named
-///    ts/timestamp);
-///  - the name column is the first remaining string column (when absent
-///    every row falls into `default_family`);
-///  - every remaining column becomes a map entry keyed by its column name
-///    ("the second stage interprets the aggregated columns as a map whose
-///    keys are the column names", Appendix C).
-Result<table::Table> NormalizeToFeatureFamilyTable(
-    const table::Table& query_result,
-    const std::string& default_family = "family");
-
 /// A hinted catalog provider over the store plus its catalog options;
 /// see Engine::StoreTableOver.
 struct StoreTable {

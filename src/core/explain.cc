@@ -37,10 +37,8 @@ Status RankOperator::OpenImpl() {
 
   // Target (Y): same construction as Session::SetTargetByQuery.
   EXPLAINIT_ASSIGN_OR_RETURN(table::Table target_rows, DrainChild(0));
-  EXPLAINIT_ASSIGN_OR_RETURN(
-      table::Table target_ff,
-      NormalizeToFeatureFamilyTable(target_rows, "target"));
-  EXPLAINIT_ASSIGN_OR_RETURN(auto target_fams, FamiliesFromTable(target_ff));
+  EXPLAINIT_ASSIGN_OR_RETURN(auto target_fams,
+                             FamiliesFromQueryResult(target_rows, "target"));
   if (target_fams.empty()) {
     return Status::InvalidArgument(
         "EXPLAIN target query produced no families");
@@ -52,9 +50,7 @@ Status RankOperator::OpenImpl() {
   if (has_given_) {
     EXPLAINIT_ASSIGN_OR_RETURN(table::Table given_rows, DrainChild(1));
     EXPLAINIT_ASSIGN_OR_RETURN(
-        table::Table given_ff,
-        NormalizeToFeatureFamilyTable(given_rows, "condition"));
-    EXPLAINIT_ASSIGN_OR_RETURN(auto given_fams, FamiliesFromTable(given_ff));
+        auto given_fams, FamiliesFromQueryResult(given_rows, "condition"));
     if (given_fams.empty()) {
       return Status::InvalidArgument(
           "EXPLAIN GIVEN query produced no families");
@@ -70,10 +66,8 @@ Status RankOperator::OpenImpl() {
   // Session::SetSearchSpaceByQuery.
   EXPLAINIT_ASSIGN_OR_RETURN(table::Table space_rows,
                              DrainChild(num_children() - 1));
-  EXPLAINIT_ASSIGN_OR_RETURN(
-      table::Table space_ff,
-      NormalizeToFeatureFamilyTable(space_rows, "family"));
-  EXPLAINIT_ASSIGN_OR_RETURN(req.candidates, FamiliesFromTable(space_ff));
+  EXPLAINIT_ASSIGN_OR_RETURN(req.candidates,
+                             FamiliesFromQueryResult(space_rows, "family"));
 
   req.scorer_name = params_.scorer_name;
   if (params_.top_k.has_value()) req.ranking.top_k = *params_.top_k;

@@ -4,7 +4,8 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <set>
+#include <string_view>
+#include <unordered_map>
 
 #include "common/strings.h"
 
@@ -98,8 +99,294 @@ Result<std::vector<FeatureFamily>> BuildFamilies(
   return out;
 }
 
-Result<std::vector<FeatureFamily>> FamiliesFromTable(
-    const table::Table& t) {
+Result<FamilyColumns> LocateFamilyColumns(const table::Table& t) {
+  if (t.num_columns() == 0) {
+    return Status::InvalidArgument("empty query result");
+  }
+  // The first non-null cell of column c has type `type`.
+  auto first_cell_is = [&](size_t c, table::DataType type) {
+    for (size_t r = 0; r < t.num_rows(); ++r) {
+      if (!t.At(r, c).is_null()) return t.At(r, c).type() == type;
+    }
+    return false;
+  };
+  std::optional<size_t> ts = t.schema().FieldIndex("ts");
+  if (!ts) ts = t.schema().FieldIndex("timestamp");
+  for (size_t c = 0; c < t.num_columns() && !ts; ++c) {
+    if (first_cell_is(c, table::DataType::kTimestamp)) ts = c;
+  }
+  if (!ts) {
+    return Status::InvalidArgument(
+        "query result has no timestamp column (expected 'ts'/'timestamp' or "
+        "a TIMESTAMP-typed column)");
+  }
+  FamilyColumns cols;
+  cols.ts = *ts;
+  cols.name = t.schema().FieldIndex("name");
+  if (cols.name == cols.ts) cols.name.reset();
+  for (size_t c = 0; c < t.num_columns() && !cols.name; ++c) {
+    if (c != cols.ts && first_cell_is(c, table::DataType::kString)) {
+      cols.name = c;
+    }
+  }
+  return cols;
+}
+
+Result<table::Table> NormalizeToFeatureFamilyTable(
+    const table::Table& t, const std::string& default_family) {
+  EXPLAINIT_ASSIGN_OR_RETURN(const FamilyColumns cols,
+                             LocateFamilyColumns(t));
+  table::Schema schema({{"ts", table::DataType::kTimestamp},
+                        {"name", table::DataType::kString},
+                        {"v", table::DataType::kMap}});
+  table::Table out(schema);
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    const table::Value& ts = t.At(r, cols.ts);
+    if (ts.is_null()) continue;
+    std::string family = default_family;
+    if (cols.name.has_value() && !t.At(r, *cols.name).is_null()) {
+      family = t.At(r, *cols.name).AsString();
+    }
+    table::ValueMap v;
+    for (size_t c = 0; c < t.num_columns(); ++c) {
+      if (c == cols.ts || c == cols.name) continue;
+      const table::Value& cell = t.At(r, c);
+      if (cell.AsMap() != nullptr) {
+        // Flatten nested maps (a query may project an existing v column).
+        for (const auto& [k, mv] : *cell.AsMap()) v[k] = mv;
+        continue;
+      }
+      v[t.schema().field(c).name] = cell;
+    }
+    out.AppendRow({table::Value::Timestamp(ts.AsTimestamp()),
+                   table::Value::String(family),
+                   table::Value::Map(std::move(v))});
+  }
+  return out;
+}
+
+namespace {
+
+/// One feature of a row: its name and its cell.
+struct Entry {
+  std::string_view key;
+  const table::Value* value;
+  size_t seq;  // position before sorting: ties keep the last assignment
+};
+
+/// What the pivot reads. A Feature Family Table (`ff_v` set) yields one
+/// row per (ts, name, v) with v's entries; a query result yields every
+/// column but ts and name, flattened as NormalizeToFeatureFamilyTable
+/// does, under `default_family` when the name is missing.
+struct PivotInput {
+  size_t ts = 0;
+  std::optional<size_t> name;
+  std::optional<size_t> ff_v;
+  std::string default_family;
+};
+
+/// The one pivot from rows to families. Families and their features are
+/// numbered in first-seen order; each (family, feature) owns a column of
+/// one flat buffer over the sorted union of timestamps, so nothing is
+/// allocated per row or per cell.
+Result<std::vector<FeatureFamily>> Pivot(const table::Table& t,
+                                         const PivotInput& in) {
+  struct Family {
+    std::string name;
+    std::vector<std::string> features;
+    std::vector<uint32_t> slots;  // parallel to features
+    std::map<std::string, uint32_t, std::less<>> slot_of;
+  };
+  struct Cell {
+    uint32_t slot;
+    uint32_t ts;  // index into ts_seen
+    double value;
+  };
+  std::vector<Family> families;
+  std::unordered_map<std::string, uint32_t> family_of;
+  std::vector<EpochSeconds> ts_seen;  // distinct, first-seen order
+  std::unordered_map<EpochSeconds, uint32_t> ts_of;
+  std::vector<Cell> cells;
+  uint32_t num_slots = 0;
+
+  // A query result's value columns; rows without map cells read them in
+  // key order, the last of equally named columns winning.
+  std::vector<size_t> value_cols;
+  std::vector<size_t> sorted_cols;
+  if (!in.ff_v.has_value()) {
+    for (size_t c = 0; c < t.num_columns(); ++c) {
+      if (c != in.ts && c != in.name) value_cols.push_back(c);
+    }
+    sorted_cols = value_cols;
+    std::stable_sort(sorted_cols.begin(), sorted_cols.end(),
+                     [&](size_t a, size_t b) {
+                       return t.schema().field(a).name <
+                              t.schema().field(b).name;
+                     });
+    std::vector<size_t> last;
+    for (size_t i = 0; i < sorted_cols.size(); ++i) {
+      if (i + 1 < sorted_cols.size() &&
+          t.schema().field(sorted_cols[i]).name ==
+              t.schema().field(sorted_cols[i + 1]).name) {
+        continue;
+      }
+      last.push_back(sorted_cols[i]);
+    }
+    sorted_cols = std::move(last);
+  }
+
+  std::vector<Entry> entries;
+  std::vector<Entry> prev_entries;
+  std::vector<uint32_t> prev_slots;
+  const table::Value* prev_name = nullptr;
+  uint32_t fam = UINT32_MAX;
+  uint32_t prev_fam = UINT32_MAX;
+  EpochSeconds prev_ts = 0;
+  uint32_t ts_index = UINT32_MAX;
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    const table::Value& ts_v = t.At(r, in.ts);
+    if (ts_v.is_null()) continue;
+    const table::Value* name_v = nullptr;
+    if (in.name.has_value() && !t.At(r, *in.name).is_null()) {
+      name_v = &t.At(r, *in.name);
+    }
+
+    // The row's entries, in key order.
+    entries.clear();
+    if (in.ff_v.has_value()) {
+      const table::ValueMap* v = t.At(r, *in.ff_v).AsMap();
+      if (name_v == nullptr || v == nullptr) continue;
+      for (const auto& [k, val] : *v) entries.push_back({k, &val, 0});
+    } else {
+      bool flat = true;
+      for (size_t c : value_cols) {
+        if (t.At(r, c).AsMap() != nullptr) flat = false;
+      }
+      const std::vector<size_t>& cols = flat ? sorted_cols : value_cols;
+      for (size_t c : cols) {
+        const table::Value& cell = t.At(r, c);
+        if (const table::ValueMap* m = cell.AsMap(); m != nullptr) {
+          for (const auto& [k, mv] : *m) {
+            entries.push_back({k, &mv, entries.size()});
+          }
+        } else {
+          entries.push_back({t.schema().field(c).name, &cell, entries.size()});
+        }
+      }
+      if (!flat) {
+        std::sort(entries.begin(), entries.end(),
+                  [](const Entry& a, const Entry& b) {
+                    return a.key != b.key ? a.key < b.key : a.seq < b.seq;
+                  });
+        size_t out = 0;
+        for (size_t i = 0; i < entries.size(); ++i) {
+          if (i + 1 < entries.size() && entries[i + 1].key == entries[i].key) {
+            continue;
+          }
+          entries[out++] = entries[i];
+        }
+        entries.resize(out);
+      }
+    }
+
+    // The family: looked up only when the name cell changes.
+    if (fam == UINT32_MAX || (name_v == nullptr) != (prev_name == nullptr) ||
+        (name_v != nullptr && !name_v->Identical(*prev_name))) {
+      std::string fam_name =
+          name_v != nullptr ? name_v->AsString() : in.default_family;
+      const auto [it, inserted] = family_of.try_emplace(
+          fam_name, static_cast<uint32_t>(families.size()));
+      if (inserted) families.push_back(Family{std::move(fam_name)});
+      fam = it->second;
+    }
+    prev_name = name_v;
+
+    const EpochSeconds ts = ts_v.AsTimestamp();
+    if (ts_index == UINT32_MAX || ts != prev_ts) {
+      const auto [it, inserted] =
+          ts_of.try_emplace(ts, static_cast<uint32_t>(ts_seen.size()));
+      if (inserted) ts_seen.push_back(ts);
+      ts_index = it->second;
+      prev_ts = ts;
+    }
+
+    // Feature slots: reused while the family and its keys repeat.
+    bool same_keys = fam == prev_fam && entries.size() == prev_entries.size();
+    for (size_t i = 0; same_keys && i < entries.size(); ++i) {
+      same_keys = entries[i].key == prev_entries[i].key;
+    }
+    if (!same_keys) {
+      Family& f = families[fam];
+      prev_slots.clear();
+      for (const Entry& e : entries) {
+        auto it = f.slot_of.find(e.key);
+        if (it == f.slot_of.end()) {
+          it = f.slot_of.emplace(std::string(e.key), num_slots++).first;
+          f.features.emplace_back(e.key);
+          f.slots.push_back(it->second);
+        }
+        prev_slots.push_back(it->second);
+      }
+      prev_fam = fam;
+    }
+    prev_entries.swap(entries);
+    for (size_t i = 0; i < prev_entries.size(); ++i) {
+      const table::Value& v = *prev_entries[i].value;
+      if (!v.is_null()) cells.push_back({prev_slots[i], ts_index, v.AsDouble()});
+    }
+  }
+
+  // The grid: the sorted union of timestamps; cells land in slot-major
+  // columns over it, later cells overwriting earlier ones.
+  std::vector<EpochSeconds> grid = ts_seen;
+  std::sort(grid.begin(), grid.end());
+  std::vector<uint32_t> grid_row(ts_seen.size());
+  for (size_t i = 0; i < ts_seen.size(); ++i) {
+    grid_row[i] = static_cast<uint32_t>(
+        std::lower_bound(grid.begin(), grid.end(), ts_seen[i]) -
+        grid.begin());
+  }
+  const size_t rows = grid.size();
+  std::vector<double> columns(size_t{num_slots} * rows,
+                              std::numeric_limits<double>::quiet_NaN());
+  for (const Cell& c : cells) {
+    columns[size_t{c.slot} * rows + grid_row[c.ts]] = c.value;
+  }
+
+  std::vector<FeatureFamily> out;
+  out.reserve(families.size());
+  std::vector<double> col;
+  for (Family& f : families) {
+    FeatureFamily fam_out;
+    fam_out.name = std::move(f.name);
+    fam_out.timestamps = grid;
+    fam_out.feature_names = std::move(f.features);
+    fam_out.data = la::Matrix(rows, f.slots.size());
+    for (size_t c = 0; c < f.slots.size(); ++c) {
+      const double* src = columns.data() + size_t{f.slots[c]} * rows;
+      col.assign(src, src + rows);
+      tsdb::InterpolateMissing(col);
+      fam_out.data.SetCol(c, col);
+    }
+    out.push_back(std::move(fam_out));
+  }
+  return out;
+}
+
+}  // namespace
+
+Result<std::vector<FeatureFamily>> FamiliesFromQueryResult(
+    const table::Table& query_result, const std::string& default_family) {
+  EXPLAINIT_ASSIGN_OR_RETURN(const FamilyColumns cols,
+                             LocateFamilyColumns(query_result));
+  PivotInput in;
+  in.ts = cols.ts;
+  in.name = cols.name;
+  in.default_family = default_family;
+  return Pivot(query_result, in);
+}
+
+Result<std::vector<FeatureFamily>> FamiliesFromTable(const table::Table& t) {
   const auto ts_idx = t.schema().FieldIndex("ts");
   const auto name_idx = t.schema().FieldIndex("name");
   const auto v_idx = t.schema().FieldIndex("v");
@@ -108,53 +395,11 @@ Result<std::vector<FeatureFamily>> FamiliesFromTable(
         "feature family table must have columns (ts, name, v); got " +
         t.schema().ToString());
   }
-  // family -> (feature -> (ts -> value)); ordered for determinism.
-  struct FamilyAccum {
-    std::vector<std::string> feature_order;
-    std::map<std::string, std::map<EpochSeconds, double>> cells;
-  };
-  std::map<std::string, FamilyAccum> families;
-  std::vector<std::string> family_order;
-  std::set<EpochSeconds> grid_set;
-  for (size_t r = 0; r < t.num_rows(); ++r) {
-    const table::Value& name_v = t.At(r, *name_idx);
-    const table::Value& ts_v = t.At(r, *ts_idx);
-    const table::ValueMap* v = t.At(r, *v_idx).AsMap();
-    if (name_v.is_null() || ts_v.is_null() || v == nullptr) continue;
-    const std::string fam_name = name_v.AsString();
-    auto [it, inserted] = families.try_emplace(fam_name);
-    if (inserted) family_order.push_back(fam_name);
-    const EpochSeconds ts = ts_v.AsTimestamp();
-    grid_set.insert(ts);
-    for (const auto& [feature, val] : *v) {
-      auto [cit, cinserted] = it->second.cells.try_emplace(feature);
-      if (cinserted) it->second.feature_order.push_back(feature);
-      if (!val.is_null()) cit->second[ts] = val.AsDouble();
-    }
-  }
-  const std::vector<EpochSeconds> grid(grid_set.begin(), grid_set.end());
-  std::vector<FeatureFamily> out;
-  for (const std::string& fam_name : family_order) {
-    const FamilyAccum& acc = families[fam_name];
-    FeatureFamily fam;
-    fam.name = fam_name;
-    fam.timestamps = grid;
-    fam.feature_names = acc.feature_order;
-    fam.data = la::Matrix(grid.size(), acc.feature_order.size());
-    for (size_t c = 0; c < acc.feature_order.size(); ++c) {
-      const auto& cells = acc.cells.at(acc.feature_order[c]);
-      std::vector<double> col(grid.size(),
-                              std::numeric_limits<double>::quiet_NaN());
-      for (size_t r = 0; r < grid.size(); ++r) {
-        auto cit = cells.find(grid[r]);
-        if (cit != cells.end()) col[r] = cit->second;
-      }
-      tsdb::InterpolateMissing(col);
-      fam.data.SetCol(c, col);
-    }
-    out.push_back(std::move(fam));
-  }
-  return out;
+  PivotInput in;
+  in.ts = *ts_idx;
+  in.name = name_idx;
+  in.ff_v = v_idx;
+  return Pivot(t, in);
 }
 
 table::Table FamilyToTable(const FeatureFamily& family) {

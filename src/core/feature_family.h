@@ -3,6 +3,7 @@
 // hypothesis generation".
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -53,10 +54,44 @@ Result<std::vector<FeatureFamily>> BuildFamilies(
     const std::vector<tsdb::SeriesData>& series,
     const GroupingOptions& options);
 
+/// Where a SQL result keeps its timestamps and family names:
+///  - the ts column is one named ts (else timestamp), else the first
+///    column whose first non-null cell is a TIMESTAMP;
+///  - the name column is one named name (unless it is the ts column),
+///    else the first other column whose first non-null cell is a string;
+///    absent when there is none.
+struct FamilyColumns {
+  size_t ts = 0;
+  std::optional<size_t> name;
+};
+Result<FamilyColumns> LocateFamilyColumns(const table::Table& query_result);
+
+/// Normalises an arbitrary SQL result into the Figure 4 Feature Family
+/// Table schema (ts, name, v), with the columns LocateFamilyColumns
+/// finds. Rows with a NULL ts are dropped; a missing name column or a
+/// NULL name gives `default_family`; every remaining column becomes a map
+/// entry keyed by its column name ("the second stage interprets the
+/// aggregated columns as a map whose keys are the column names",
+/// Appendix C), except that a map cell flattens into its own entries
+/// (later columns overwrite earlier keys).
+Result<table::Table> NormalizeToFeatureFamilyTable(
+    const table::Table& query_result,
+    const std::string& default_family = "family");
+
+/// The families of a SQL result in one pass, equal to
+/// FamiliesFromTable(NormalizeToFeatureFamilyTable(query_result,
+/// default_family)) without building the intermediate table.
+Result<std::vector<FeatureFamily>> FamiliesFromQueryResult(
+    const table::Table& query_result, const std::string& default_family);
+
 /// Builds feature families from a Feature Family Table in the Figure 4
 /// schema: (ts TIMESTAMP, name STRING, v MAP<string,double>). Rows sharing
-/// `name` form one family; map keys become feature names; missing
-/// (ts, key) cells are interpolated to the nearest observation.
+/// `name` form one family (rows with a NULL ts or name, or a v that is
+/// not a map, are skipped); map keys become feature names in first-seen
+/// order; every family spans the union of all rows' timestamps; a NULL
+/// entry registers its feature without a value, a repeated (feature, ts)
+/// keeps the last value, and missing cells are interpolated to the
+/// nearest observation.
 Result<std::vector<FeatureFamily>> FamiliesFromTable(
     const table::Table& feature_family_table);
 

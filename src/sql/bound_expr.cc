@@ -1,5 +1,6 @@
 #include "sql/bound_expr.h"
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 
@@ -517,6 +518,7 @@ BoundExpr BoundExpr::Bind(const Expr& expr, const table::Schema& schema,
   BoundExpr b;
   b.root_ = std::make_unique<Node>(
       Binder(schema, functions, nullptr).Bind(expr, /*group=*/false));
+  b.Record();
   return b;
 }
 
@@ -526,7 +528,37 @@ BoundExpr BoundExpr::BindGroup(const Expr& expr, const table::Schema& schema,
   BoundExpr b;
   b.root_ = std::make_unique<Node>(
       Binder(schema, functions, &aggs).Bind(expr, /*group=*/true));
+  b.Record();
   return b;
+}
+
+void BoundExpr::Record() {
+  std::vector<const Node*> stack{root_.get()};
+  while (!stack.empty()) {
+    const Node* n = stack.back();
+    stack.pop_back();
+    if (n->op == Op::kColumn || n->op == Op::kColumnKey) {
+      columns_.push_back(n->index);
+    }
+    if (n->op == Op::kLag || n->op == Op::kSlot) row_local_ = false;
+    for (const Node& k : n->kids) stack.push_back(&k);
+  }
+  std::sort(columns_.begin(), columns_.end());
+  columns_.erase(std::unique(columns_.begin(), columns_.end()),
+                 columns_.end());
+}
+
+bool BoundExpr::is_column() const {
+  return root_ != nullptr && root_->op == Op::kColumn;
+}
+
+bool RunMemo::Hit(const ColumnBatch& batch, size_t row) const {
+  if (!valid_) return false;
+  for (size_t c : *columns_) {
+    const Value* col = batch.column(c);
+    if (!col[row].Identical(col[row_])) return false;
+  }
+  return true;
 }
 
 Status BoundExpr::Eval(const ColumnBatch& batch, size_t begin, size_t end,

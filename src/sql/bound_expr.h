@@ -5,8 +5,11 @@
 // Binding resolves column references to indices, functions to ScalarFn
 // pointers, translates constant LIKE patterns once, turns constant-key
 // subscripts (`tag['host']`) into one map lookup, and folds constant
-// subtrees (function calls are never folded: a registered function is
-// opaque and may be slow or impure). Binding never fails: an unknown or
+// subtrees. Function calls are never folded: a registered function is
+// pure (functions.h) but may be slow, so it runs only when evaluation
+// reaches it. The binder also records which input columns an expression
+// reads, so callers can reuse a result across rows with identical cells
+// (RunMemo). Binding never fails: an unknown or
 // ambiguous column, an unknown function or an aggregate in a scalar
 // context binds to a node that returns the exact Status sql::Evaluator
 // reports, when (and only when) evaluation reaches it — so empty inputs
@@ -77,10 +80,54 @@ class BoundExpr {
   Status EvalRef(const table::ColumnBatch& batch, size_t row,
                  table::Value* tmp, const table::Value** out) const;
 
+  /// The input columns the expression reads, ascending and distinct.
+  const std::vector<size_t>& columns() const { return columns_; }
+  /// True when the value depends only on the evaluated row's cells in
+  /// columns(): no LAG (which reads other rows) and no aggregate slot.
+  bool row_local() const { return row_local_; }
+  /// True for a bare column reference.
+  bool is_column() const;
+
   struct Node;
 
  private:
+  void Record();  // fills columns_ and row_local_ from root_
+
   std::unique_ptr<Node> root_;
+  std::vector<size_t> columns_;
+  bool row_local_ = true;
+};
+
+/// Reuse of an expression's result across a run of rows. A registered
+/// ScalarFn is a pure mapping from argument values to a value
+/// (functions.h), so a row-local expression yields the same result at
+/// two rows whose cells in every column it reads are Identical. The memo
+/// remembers the row the caller's cached result came from; Hit() costs
+/// one comparison per referenced cell. It is per-caller state: never
+/// share one across threads.
+class RunMemo {
+ public:
+  /// A memo for `e`. It never hits for an expression that is not
+  /// row-local, or for a bare column reference (cheaper to read again
+  /// than to compare).
+  explicit RunMemo(const BoundExpr& e)
+      : columns_(e.row_local() && !e.is_column() ? &e.columns() : nullptr) {}
+
+  bool enabled() const { return columns_ != nullptr; }
+  /// True when row `row` of `batch` reads cells identical to the
+  /// remembered row of the same batch.
+  bool Hit(const table::ColumnBatch& batch, size_t row) const;
+  void Remember(size_t row) {
+    row_ = row;
+    valid_ = columns_ != nullptr;
+  }
+  /// Drops the remembered row; call before moving to another batch.
+  void Forget() { valid_ = false; }
+
+ private:
+  const std::vector<size_t>* columns_;
+  size_t row_ = 0;
+  bool valid_ = false;
 };
 
 /// Appends to *selected the rows in [begin, end) for which every

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <span>
 
 namespace explainit::sql {
 
@@ -17,7 +19,7 @@ namespace {
 Result<Value> ComputeAggregate(const Expr& agg,
                                const std::vector<BoundExpr>& args,
                                const ColumnBatch& input,
-                               const std::vector<size_t>& rows) {
+                               std::span<const size_t> rows) {
   const std::string& name = agg.function_name;
   if (name == "COUNT") {
     if (agg.args.size() != 1) {
@@ -136,6 +138,88 @@ bool IsDecomposable(const Expr& agg) {
 }
 
 }  // namespace
+
+uint64_t GroupTable::Hash(std::string_view key) {
+  return std::hash<std::string_view>{}(key);
+}
+
+std::pair<uint32_t, bool> GroupTable::FindOrInsert(std::string_view key,
+                                                   uint64_t hash) {
+  if ((keys_.size() + 1) * 2 > slots_.size()) {
+    Rehash(std::max<size_t>(16, slots_.size() * 2));
+  }
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    Slot& slot = slots_[i];
+    if (slot.group == kEmpty) {
+      slot.hash = hash;
+      slot.group = static_cast<uint32_t>(keys_.size());
+      keys_.push_back(KeyRef{hash, arena_.size(), key.size()});
+      arena_.append(key);
+      return {slot.group, true};
+    }
+    if (slot.hash == hash && this->key(slot.group) == key) {
+      return {slot.group, false};
+    }
+  }
+}
+
+void GroupTable::Reserve(size_t groups) {
+  size_t capacity = std::max<size_t>(16, slots_.size());
+  while (groups * 2 > capacity) capacity *= 2;
+  if (capacity > slots_.size()) Rehash(capacity);
+}
+
+void GroupTable::Rehash(size_t capacity) {
+  slots_.assign(capacity, Slot{});
+  const size_t mask = capacity - 1;
+  for (uint32_t g = 0; g < keys_.size(); ++g) {
+    size_t i = keys_[g].hash & mask;
+    while (slots_[i].group != kEmpty) i = (i + 1) & mask;
+    slots_[i] = Slot{keys_[g].hash, g};
+  }
+}
+
+/// Evaluates select items at representative rows for one group shard,
+/// reusing an item's previous value while successive representative rows
+/// of one input repeat the cells it reads (RunMemo).
+class HashAggregateOperator::ItemRuns {
+ public:
+  /// Switches to the rows of `input`, bound by `b`.
+  void Start(const Bindings& b, const ColumnBatch& input) {
+    if (&input == input_) return;
+    input_ = &input;
+    if (&b != b_) {
+      b_ = &b;
+      memos_.clear();
+      for (const BoundExpr& item : b.items) memos_.emplace_back(item);
+      cached_.assign(b.items.size(), Value());
+    } else {
+      for (RunMemo& m : memos_) m.Forget();
+    }
+  }
+
+  /// Item i at row `rep` of the current input.
+  Status Eval(size_t i, size_t rep, const Result<Value>* slots, Value* out) {
+    RunMemo& memo = memos_[i];
+    if (memo.Hit(*input_, rep)) {
+      *out = cached_[i];
+      return Status::OK();
+    }
+    EXPLAINIT_ASSIGN_OR_RETURN(*out, b_->items[i].EvalRow(*input_, rep, slots));
+    if (memo.enabled()) {
+      cached_[i] = *out;
+      memo.Remember(rep);
+    }
+    return Status::OK();
+  }
+
+ private:
+  const Bindings* b_ = nullptr;
+  const ColumnBatch* input_ = nullptr;
+  std::vector<RunMemo> memos_;
+  std::vector<Value> cached_;
+};
 
 HashAggregateOperator::HashAggregateOperator(
     std::unique_ptr<Operator> input, const SelectStatement* stmt,
@@ -276,23 +360,24 @@ Status HashAggregateOperator::CollectMorsels() {
 template <typename Fill>
 Status HashAggregateOperator::EvalGroup(
     const Bindings& b, const ColumnBatch& input, size_t rep,
-    const Fill& fill, size_t gi, std::vector<char>* keep,
+    const Fill& fill, size_t gi, std::vector<Result<Value>>* slots,
+    ItemRuns* runs, std::vector<char>* keep,
     std::vector<std::vector<Value>>* values) const {
   // HAVING's aggregates first; the select list's only for survivors.
-  std::vector<Result<Value>> slots(agg_nodes_.size(), Value());
   if (stmt_->having != nullptr) {
-    fill(having_slots_, agg_nodes_.size(), &slots);
+    fill(having_slots_, agg_nodes_.size(), slots);
     EXPLAINIT_ASSIGN_OR_RETURN(Value v,
-                               b.having.EvalRow(input, rep, slots.data()));
+                               b.having.EvalRow(input, rep, slots->data()));
     if (v.is_null() || !v.AsBool()) {
       (*keep)[gi] = 0;
       return Status::OK();
     }
   }
-  fill(0, having_slots_, &slots);
+  fill(0, having_slots_, slots);
+  runs->Start(b, input);
   for (size_t i = 0; i < b.items.size(); ++i) {
-    EXPLAINIT_ASSIGN_OR_RETURN((*values)[i][gi],
-                               b.items[i].EvalRow(input, rep, slots.data()));
+    EXPLAINIT_RETURN_IF_ERROR(
+        runs->Eval(i, rep, slots->data(), &(*values)[i][gi]));
   }
   return Status::OK();
 }
@@ -306,32 +391,34 @@ Status HashAggregateOperator::PartialAccumulate(const ColumnBatch& batch,
                                                 uint32_t batch_index,
                                                 ShardGroups* local) const {
   const size_t num_slots = agg_nodes_.size();
+  RowKeyEncoder encoder(b.keys);
+  encoder.Start(batch);
   std::string key;
   for (size_t r = 0; r < batch.num_rows(); ++r) {
-    // The key lives in a reused buffer; only a first-seen key is copied.
     bool matchable = true;
-    EXPLAINIT_RETURN_IF_ERROR(EncodeRowKey(b.keys, batch, r, &key, &matchable));
-    auto [it, inserted] = local->index.try_emplace(key, local->groups.size());
+    EXPLAINIT_RETURN_IF_ERROR(encoder.Encode(r, &key, &matchable));
+    const auto [gi, inserted] =
+        local->table.FindOrInsert(key, GroupTable::Hash(key));
     if (inserted) {
-      local->order.push_back(&it->first);
       GroupPartial g;
       g.first_batch = batch_index;
       g.first_row = static_cast<uint32_t>(r);
       local->groups.push_back(g);
       local->slots.resize(local->slots.size() + num_slots);
     }
-    ++local->groups[it->second].rows;
-    PartialState* slots = local->slots.data() + it->second * num_slots;
+    ++local->groups[gi].rows;
+    PartialState* slots = local->slots.data() + size_t{gi} * num_slots;
     for (size_t i = 0; i < num_slots; ++i) {
       PartialState& st = slots[i];
-      if (count_star_[i] || !st.error.ok()) continue;
+      if (count_star_[i] || st.error != 0) continue;
       Value tmp;
       const Value* v = nullptr;
       Status s = b.agg_args[i][0].EvalRef(batch, r, &tmp, &v);
       if (!s.ok()) {
         // Deferred like index mode: only surfaces if the group
         // survives HAVING and the slot is consulted.
-        st.error = std::move(s);
+        local->errors.push_back(std::move(s));
+        st.error = static_cast<uint32_t>(local->errors.size());
         continue;
       }
       if (!v->is_null()) st.Accumulate(v->AsDouble());
@@ -382,53 +469,48 @@ Result<ColumnBatch> HashAggregateOperator::PartialNext() {
   std::vector<ShardGroups> shards(runs.size());
   EXPLAINIT_RETURN_IF_ERROR(RunSharded(
       ctx_, runs.size(), [&](size_t s) -> Status {
-        ShardGroups& local = shards[s];
-        size_t run_rows = 0;
-        for (size_t b = runs[s].first; b < runs[s].second; ++b) {
-          run_rows += morsels_[b].num_rows();
-        }
-        // Upper bound on this shard's group count: no rehash mid-shard.
-        local.index.reserve(run_rows);
         for (size_t b = runs[s].first; b < runs[s].second; ++b) {
           EXPLAINIT_RETURN_IF_ERROR(
               PartialAccumulate(morsels_[b], *morsel_bindings[b],
-                                static_cast<uint32_t>(b), &local));
+                                static_cast<uint32_t>(b), &shards[s]));
         }
         return Status::OK();
       }));
 
   // Merge stage: combine per-shard partials in shard order (shard order
   // is row order, so first-appearance order and first-error-wins do not
-  // depend on the shard count).
+  // depend on the shard count). Probes reuse the shards' stored hashes.
   const size_t num_slots = agg_nodes_.size();
   size_t total_groups = 0;
   for (const ShardGroups& local : shards) total_groups += local.groups.size();
-  ShardGroups merged;
-  for (ShardGroups& local : shards) {
-    if (merged.groups.empty()) {
-      merged = std::move(local);
-      merged.index.reserve(total_groups);
-      continue;
-    }
-    for (size_t li = 0; li < local.groups.size(); ++li) {
+  ShardGroups merged = std::move(shards[0]);
+  merged.table.Reserve(total_groups);
+  for (size_t s = 1; s < shards.size(); ++s) {
+    const ShardGroups& local = shards[s];
+    for (uint32_t li = 0; li < local.groups.size(); ++li) {
       const GroupPartial& lg = local.groups[li];
-      const PartialState* lslots = local.slots.data() + li * num_slots;
-      auto [it, inserted] =
-          merged.index.try_emplace(*local.order[li], merged.groups.size());
+      const PartialState* lslots = local.slots.data() + size_t{li} * num_slots;
+      const auto [gi, inserted] =
+          merged.table.FindOrInsert(local.table.key(li), local.table.hash(li));
+      auto take_error = [&](const PartialState& a, PartialState* st) {
+        merged.errors.push_back(local.errors[a.error - 1]);
+        st->error = static_cast<uint32_t>(merged.errors.size());
+      };
       if (inserted) {
-        merged.order.push_back(&it->first);
         merged.groups.push_back(lg);
-        merged.slots.insert(merged.slots.end(), lslots,
-                            lslots + num_slots);
+        merged.slots.insert(merged.slots.end(), lslots, lslots + num_slots);
+        PartialState* slots = &merged.slots[merged.slots.size() - num_slots];
+        for (size_t i = 0; i < num_slots; ++i) {
+          if (lslots[i].error != 0) take_error(lslots[i], &slots[i]);
+        }
         continue;
       }
-      GroupPartial& g = merged.groups[it->second];
-      PartialState* slots = merged.slots.data() + it->second * num_slots;
-      g.rows += lg.rows;
+      merged.groups[gi].rows += lg.rows;
+      PartialState* slots = merged.slots.data() + size_t{gi} * num_slots;
       for (size_t i = 0; i < num_slots; ++i) {
         const PartialState& a = lslots[i];
         PartialState& st = slots[i];
-        if (st.error.ok() && !a.error.ok()) st.error = a.error;
+        if (st.error == 0 && a.error != 0) take_error(a, &st);
         if (a.non_null == 0) continue;
         if (st.non_null == 0) {
           st.min = a.min;
@@ -452,6 +534,8 @@ Result<ColumnBatch> HashAggregateOperator::PartialNext() {
   const std::vector<RowRange> group_shards = ShardRows(num_groups, shards_);
   EXPLAINIT_RETURN_IF_ERROR(RunSharded(
       ctx_, group_shards.size(), [&](size_t s) -> Status {
+        std::vector<Result<Value>> slot_values(num_slots, Value());
+        ItemRuns runs;
         for (size_t gi = group_shards[s].begin; gi < group_shards[s].end;
              ++gi) {
           const GroupPartial& g = merged.groups[gi];
@@ -462,8 +546,8 @@ Result<ColumnBatch> HashAggregateOperator::PartialNext() {
               const PartialState& st = states[i];
               const std::string& n = agg_nodes_[i]->function_name;
               Result<Value>& out = (*slots)[i];
-              if (!st.error.ok()) {
-                out = st.error;
+              if (st.error != 0) {
+                out = merged.errors[st.error - 1];
               } else if (n == "COUNT") {
                 out = Value::Int(count_star_[i]
                                      ? static_cast<int64_t>(g.rows)
@@ -484,7 +568,7 @@ Result<ColumnBatch> HashAggregateOperator::PartialNext() {
           EXPLAINIT_RETURN_IF_ERROR(
               EvalGroup(*morsel_bindings[g.first_batch],
                         morsels_[g.first_batch], g.first_row, fill, gi,
-                        &keep, &values));
+                        &slot_values, &runs, &keep, &values));
         }
         return Status::OK();
       }));
@@ -499,31 +583,34 @@ Result<ColumnBatch> HashAggregateOperator::PartialNext() {
 // ---------------------------------------------------------------------------
 
 Result<ColumnBatch> HashAggregateOperator::FinishGroups(
-    const ColumnBatch& input) {
+    const ColumnBatch& input, const std::vector<size_t>& offsets,
+    const std::vector<size_t>& rows) {
+  const size_t num_groups = offsets.size() - 1;
   // A global aggregate is one group even over zero rows.
-  if (group_order_.empty() && stmt_->group_by.empty()) {
-    return EmptyGlobalRow();
-  }
+  if (num_groups == 0 && stmt_->group_by.empty()) return EmptyGlobalRow();
   const Bindings& b = BindFor(input.schema());
-  const size_t num_groups = group_order_.size();
   std::vector<char> keep(num_groups, 1);
   std::vector<std::vector<Value>> values(schema_.num_fields());
   for (auto& col : values) col.resize(num_groups);
   const std::vector<RowRange> group_shards = ShardRows(num_groups, shards_);
   EXPLAINIT_RETURN_IF_ERROR(RunSharded(
       ctx_, group_shards.size(), [&](size_t s) -> Status {
+        std::vector<Result<Value>> slot_values(agg_nodes_.size(), Value());
+        ItemRuns runs;
         for (size_t gi = group_shards[s].begin; gi < group_shards[s].end;
              ++gi) {
-          const std::vector<size_t>& rows = groups_.at(group_order_[gi]);
+          const std::span<const size_t> group_rows(
+              rows.data() + offsets[gi], offsets[gi + 1] - offsets[gi]);
           auto fill = [&](size_t begin, size_t end,
                           std::vector<Result<Value>>* slots) {
             for (size_t i = begin; i < end; ++i) {
-              (*slots)[i] =
-                  ComputeAggregate(*agg_nodes_[i], b.agg_args[i], input, rows);
+              (*slots)[i] = ComputeAggregate(*agg_nodes_[i], b.agg_args[i],
+                                             input, group_rows);
             }
           };
-          EXPLAINIT_RETURN_IF_ERROR(
-              EvalGroup(b, input, rows[0], fill, gi, &keep, &values));
+          EXPLAINIT_RETURN_IF_ERROR(EvalGroup(b, input, group_rows[0], fill,
+                                              gi, &slot_values, &runs, &keep,
+                                              &values));
         }
         return Status::OK();
       }));
@@ -534,49 +621,64 @@ Result<ColumnBatch> HashAggregateOperator::IndexNext() {
   // Aggregates read their groups' rows by index: drain into one input.
   EXPLAINIT_RETURN_IF_ERROR(Drain(input_, &acc_));
   retained_ptr_ = &acc_;
-  const ColumnBatch input = ColumnBatch::View(acc_, 0, acc_.num_rows());
+  const size_t num_rows = acc_.num_rows();
+  const ColumnBatch input = ColumnBatch::View(acc_, 0, num_rows);
   const std::vector<BoundExpr>& keys = BindFor(acc_.schema()).keys;
-  const std::vector<RowRange> shards = ShardRows(acc_.num_rows(), shards_);
+  const std::vector<RowRange> shards = ShardRows(num_rows, shards_);
 
-  // Phase 1: per-shard grouping of row indices (ascending within a
-  // shard); the order vector borrows the map's node-stable keys.
-  struct ShardIndex {
-    std::unordered_map<std::string, std::vector<size_t>> groups;
-    std::vector<const std::string*> order;
-  };
-  std::vector<ShardIndex> locals(shards.size());
+  // Phase 1: per-shard grouping; row r of shard s belongs to the shard's
+  // group row_group[s][r - begin].
+  std::vector<GroupTable> tables(shards.size());
+  std::vector<std::vector<uint32_t>> row_group(shards.size());
   EXPLAINIT_RETURN_IF_ERROR(RunSharded(
       ctx_, shards.size(), [&](size_t s) -> Status {
-        ShardIndex& local = locals[s];
+        RowKeyEncoder encoder(keys);
+        encoder.Start(input);
         std::string key;
+        row_group[s].reserve(shards[s].size());
         for (size_t r = shards[s].begin; r < shards[s].end; ++r) {
           bool matchable = true;
-          EXPLAINIT_RETURN_IF_ERROR(
-              EncodeRowKey(keys, input, r, &key, &matchable));
-          auto [it, inserted] = local.groups.try_emplace(key);
-          if (inserted) local.order.push_back(&it->first);
-          it->second.push_back(r);
+          EXPLAINIT_RETURN_IF_ERROR(encoder.Encode(r, &key, &matchable));
+          row_group[s].push_back(
+              tables[s].FindOrInsert(key, GroupTable::Hash(key)).first);
         }
         return Status::OK();
       }));
-  // Merge in shard order: concatenation keeps row indices ascending and
-  // first-appearance order independent of the shard count.
-  for (ShardIndex& local : locals) {
-    for (const std::string* k : local.order) {
-      std::vector<size_t>& rows = local.groups.at(*k);
-      auto [it, inserted] = groups_.try_emplace(*k);
-      if (inserted) {
-        group_order_.push_back(*k);
-        it->second = std::move(rows);
-      } else {
-        it->second.insert(it->second.end(), rows.begin(), rows.end());
-      }
+
+  // Merge in shard order, so first-appearance order does not depend on
+  // the shard count: renumber each shard's groups into the first table.
+  GroupTable merged;
+  if (!tables.empty()) merged = std::move(tables[0]);
+  for (size_t s = 1; s < shards.size(); ++s) {
+    std::vector<uint32_t> remap(tables[s].size());
+    for (uint32_t li = 0; li < remap.size(); ++li) {
+      remap[li] = merged
+                      .FindOrInsert(tables[s].key(li), tables[s].hash(li))
+                      .first;
+    }
+    for (uint32_t& g : row_group[s]) g = remap[g];
+  }
+
+  // Lay every group's rows out contiguously; visiting rows in order
+  // keeps each group's rows ascending.
+  const size_t num_groups = merged.size();
+  std::vector<size_t> offsets(num_groups + 1, 0);
+  for (const std::vector<uint32_t>& groups : row_group) {
+    for (uint32_t g : groups) ++offsets[g + 1];
+  }
+  for (size_t g = 0; g < num_groups; ++g) offsets[g + 1] += offsets[g];
+  std::vector<size_t> rows(num_rows);
+  std::vector<size_t> next(offsets.begin(), offsets.end() - 1);
+  for (size_t s = 0; s < shards.size(); ++s) {
+    for (size_t i = 0; i < row_group[s].size(); ++i) {
+      rows[next[row_group[s][i]]++] = shards[s].begin + i;
     }
   }
 
   // Phase 2: the per-group evaluation, fanned out across groups.
-  EXPLAINIT_ASSIGN_OR_RETURN(ColumnBatch out, FinishGroups(input));
-  stats_.detail = std::to_string(group_order_.size()) + " groups (" +
+  EXPLAINIT_ASSIGN_OR_RETURN(ColumnBatch out,
+                             FinishGroups(input, offsets, rows));
+  stats_.detail = std::to_string(num_groups) + " groups (" +
                   std::to_string(shards.size()) + " shards)";
   return out;
 }

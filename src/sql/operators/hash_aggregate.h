@@ -7,7 +7,7 @@
 // appears anywhere), and one shard is the serial case of the same code:
 //
 //  * partial mode — every aggregate call decomposes (COUNT/SUM/MIN/MAX/
-//    AVG): each shard builds a hash table of flat partial states (sum,
+//    AVG): each shard builds a GroupTable with flat partial states (sum,
 //    non-null count, min, max, row count) over a contiguous run of
 //    morsels, a merge stage combines partials in shard order (so a given
 //    shard count is deterministic), and finalisation substitutes merged
@@ -17,18 +17,70 @@
 //    as one relation.
 //  * index mode — non-decomposable aggregates (STDDEV, PERCENTILE, or
 //    malformed calls whose error messages ComputeAggregate owns): the
-//    input drains into acc_, shards group row indices, the merge
-//    concatenates them in shard order (preserving ascending row order),
+//    input drains into acc_, shards map each row to a group of their
+//    GroupTable, the merge renumbers the groups in shard order, one
+//    counting pass lays every group's rows out contiguously (ascending),
 //    and the per-group evaluation fans out across groups.
+//
+// Either way, the GROUP BY key is encoded by a RowKeyEncoder (a computed
+// key runs once per run of identical input cells), the merge probes with
+// the hashes the shards stored and copies a key only for a group new to
+// the merged table, and finalisation reuses one slot buffer per group
+// shard and an item's value across groups whose representative rows
+// repeat its input cells. Nothing is allocated per group.
 #pragma once
 
 #include <algorithm>
-#include <unordered_map>
+#include <cstdint>
+#include <string_view>
+#include <utility>
 
 #include "sql/bound_expr.h"
 #include "sql/operators/operator.h"
 
 namespace explainit::sql {
+
+/// Open-addressing hash table from encoded group keys to dense group
+/// indices 0, 1, 2, ... in first-insertion order. A slot holds the key's
+/// stored 64-bit hash and its group index; every key is appended to one
+/// byte arena and addressed by (offset, length). Capacity is a power of
+/// two that doubles at half load, and growth rehashes stored hashes,
+/// never keys, so nothing is allocated per group.
+class GroupTable {
+ public:
+  static uint64_t Hash(std::string_view key);
+
+  /// The group of `key`, whose Hash is `hash`; a new key becomes group
+  /// size(). Returns {group, inserted}.
+  std::pair<uint32_t, bool> FindOrInsert(std::string_view key, uint64_t hash);
+
+  /// Sizes the slot array for `groups` groups without growth.
+  void Reserve(size_t groups);
+
+  size_t size() const { return keys_.size(); }
+  std::string_view key(uint32_t group) const {
+    const KeyRef& k = keys_[group];
+    return std::string_view(arena_).substr(k.offset, k.length);
+  }
+  uint64_t hash(uint32_t group) const { return keys_[group].hash; }
+
+ private:
+  static constexpr uint32_t kEmpty = UINT32_MAX;
+  struct Slot {
+    uint64_t hash = 0;
+    uint32_t group = kEmpty;
+  };
+  struct KeyRef {
+    uint64_t hash;
+    size_t offset;
+    size_t length;
+  };
+  void Rehash(size_t capacity);
+
+  std::vector<Slot> slots_;  // capacity: a power of two, or empty
+  std::vector<KeyRef> keys_;  // per group
+  std::string arena_;
+};
 
 class HashAggregateOperator : public Operator {
  public:
@@ -62,7 +114,7 @@ class HashAggregateOperator : public Operator {
     double min = 0.0;
     double max = 0.0;
     int64_t non_null = 0;
-    Status error;
+    uint32_t error = 0;  // 1 + index into ShardGroups::errors; 0 if none
 
     /// Folds one non-null argument value in.
     void Accumulate(double d) {
@@ -82,16 +134,16 @@ class HashAggregateOperator : public Operator {
     uint32_t first_row = 0;
     size_t rows = 0;
   };
-  /// One worker's hash table plus first-seen key order. Groups and their
-  /// flat slot states live in contiguous arrays (groups[i]'s slot j is
-  /// slots[i * num_slots + j]) — no per-group heap allocation — and the
-  /// order vector borrows the map's node-stable key storage.
+  /// One worker's groups: a GroupTable plus, per group, its
+  /// representative row and flat slot states in contiguous arrays
+  /// (group i's slot j is slots[i * num_slots + j]).
   struct ShardGroups {
-    std::unordered_map<std::string, size_t> index;
-    std::vector<const std::string*> order;  // keys in first-seen order
-    std::vector<GroupPartial> groups;       // parallel to `order`
-    std::vector<PartialState> slots;        // groups.size() * num_slots
+    GroupTable table;
+    std::vector<GroupPartial> groups;  // parallel to the table's groups
+    std::vector<PartialState> slots;   // groups.size() * num_slots
+    std::vector<Status> errors;        // the slots' deferred errors
   };
+  class ItemRuns;
 
   /// Every expression of the statement bound to one input schema.
   struct Bindings {
@@ -114,14 +166,19 @@ class HashAggregateOperator : public Operator {
   Status CollectMorsels();
   /// Evaluates HAVING, then (if the group survives) every select item of
   /// group `gi`, whose representative row is `rep` of `input`.
-  /// fill(begin, end, &slots) computes aggregate slots [begin, end).
+  /// fill(begin, end, slots) computes aggregate slots [begin, end) into
+  /// *slots, a buffer the caller reuses across groups.
   template <typename Fill>
   Status EvalGroup(const Bindings& b, const table::ColumnBatch& input,
                    size_t rep, const Fill& fill, size_t gi,
+                   std::vector<Result<table::Value>>* slots, ItemRuns* runs,
                    std::vector<char>* keep,
                    std::vector<std::vector<table::Value>>* values) const;
-  /// Index mode's per-group evaluation over groups_.
-  Result<table::ColumnBatch> FinishGroups(const table::ColumnBatch& input);
+  /// Index mode's per-group evaluation: group gi's rows are
+  /// rows[offsets[gi], offsets[gi + 1]).
+  Result<table::ColumnBatch> FinishGroups(const table::ColumnBatch& input,
+                                          const std::vector<size_t>& offsets,
+                                          const std::vector<size_t>& rows);
   /// The single row of a global aggregate over an empty input.
   table::ColumnBatch EmptyGlobalRow();
   /// Builds the output batch from per-group values, dropping groups
@@ -138,8 +195,6 @@ class HashAggregateOperator : public Operator {
   table::Schema schema_;
   table::Table acc_;  // all input rows, grouped by row index
   const table::Table* retained_ptr_ = nullptr;
-  std::unordered_map<std::string, std::vector<size_t>> groups_;
-  std::vector<std::string> group_order_;
   bool done_ = false;
   size_t shards_ = 1;  // set by NextImpl
 

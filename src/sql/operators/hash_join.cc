@@ -168,10 +168,11 @@ Status HashJoinOperator::OpenImpl() {
   EXPLAINIT_RETURN_IF_ERROR(RunSharded(
       ctx_, shards.size(), [&](size_t s) -> Status {
         if (num_partitions_ > 1) buckets[s].resize(num_partitions_);
+        RowKeyEncoder encoder(build_keys);
+        encoder.Start(build_view);
         for (size_t j = shards[s].begin; j < shards[s].end; ++j) {
           bool matchable = true;
-          EXPLAINIT_RETURN_IF_ERROR(
-              EncodeRowKey(build_keys, build_view, j, &keys[j], &matchable));
+          EXPLAINIT_RETURN_IF_ERROR(encoder.Encode(j, &keys[j], &matchable));
           null_key[j] = matchable ? 0 : 1;
           if (num_partitions_ > 1 && matchable) {
             buckets[s][std::hash<std::string>{}(keys[j]) % num_partitions_]
@@ -290,10 +291,11 @@ Result<ColumnBatch> HashJoinOperator::NextImpl(bool* eof) {
           std::vector<uint32_t> cand_probe;
           std::vector<size_t> cand_build;
           std::string key;
+          RowKeyEncoder encoder(probe_keys);
+          encoder.Start(batch);
           for (size_t i = shards[s].begin; i < shards[s].end; ++i) {
             bool matchable = true;
-            EXPLAINIT_RETURN_IF_ERROR(
-                EncodeRowKey(probe_keys, batch, i, &key, &matchable));
+            EXPLAINIT_RETURN_IF_ERROR(encoder.Encode(i, &key, &matchable));
             if (!matchable) continue;
             const size_t p =
                 num_partitions_ > 1

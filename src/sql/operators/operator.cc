@@ -201,15 +201,38 @@ bool EncodeKey(const table::Value& v, std::string* key) {
   return false;
 }
 
-Status EncodeRowKey(const std::vector<BoundExpr>& exprs,
-                    const table::ColumnBatch& batch, size_t row,
-                    std::string* key, bool* matchable) {
-  key->clear();
+RowKeyEncoder::RowKeyEncoder(const std::vector<BoundExpr>& exprs) {
+  parts_.reserve(exprs.size());
   for (const BoundExpr& e : exprs) {
-    table::Value tmp;
-    const table::Value* v = nullptr;
-    EXPLAINIT_RETURN_IF_ERROR(e.EvalRef(batch, row, &tmp, &v));
-    if (!EncodeKey(*v, key)) *matchable = false;
+    parts_.push_back(Part{&e, RunMemo(e), std::string(), true});
+  }
+}
+
+void RowKeyEncoder::Start(const table::ColumnBatch& batch) {
+  batch_ = &batch;
+  for (Part& p : parts_) p.memo.Forget();
+}
+
+Status RowKeyEncoder::Encode(size_t row, std::string* key, bool* matchable) {
+  key->clear();
+  for (Part& p : parts_) {
+    if (!p.memo.enabled()) {
+      table::Value tmp;
+      const table::Value* v = nullptr;
+      EXPLAINIT_RETURN_IF_ERROR(p.expr->EvalRef(*batch_, row, &tmp, &v));
+      if (!EncodeKey(*v, key)) *matchable = false;
+      continue;
+    }
+    if (!p.memo.Hit(*batch_, row)) {
+      table::Value tmp;
+      const table::Value* v = nullptr;
+      EXPLAINIT_RETURN_IF_ERROR(p.expr->EvalRef(*batch_, row, &tmp, &v));
+      p.bytes.clear();
+      p.matchable = EncodeKey(*v, &p.bytes);
+      p.memo.Remember(row);
+    }
+    key->append(p.bytes);
+    if (!p.matchable) *matchable = false;
   }
   return Status::OK();
 }

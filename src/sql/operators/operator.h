@@ -159,11 +159,35 @@ class Operator {
 /// holding one): join keys skip such rows.
 bool EncodeKey(const table::Value& v, std::string* key);
 
-/// Replaces *key with the encoding of row `row`'s values of `exprs`;
-/// *matchable turns false when a part never matches (see EncodeKey).
-Status EncodeRowKey(const std::vector<BoundExpr>& exprs,
-                    const table::ColumnBatch& batch, size_t row,
-                    std::string* key, bool* matchable);
+/// Encodes the key of rows of one batch: the EncodeKey parts of `exprs`,
+/// concatenated. A part whose expression RunMemo can serve is evaluated
+/// once per run of rows with identical input cells: while consecutive
+/// rows repeat those cells, its previous encoding is reused (on a store
+/// scan, a function of metric_name and tags runs once per series, not
+/// once per row). Per-caller state; not thread-safe.
+class RowKeyEncoder {
+ public:
+  /// `exprs` must outlive the encoder.
+  explicit RowKeyEncoder(const std::vector<BoundExpr>& exprs);
+
+  /// Starts on the rows of `batch`, which must outlive the calls to
+  /// Encode that follow (drops every remembered run).
+  void Start(const table::ColumnBatch& batch);
+
+  /// Replaces *key with the encoding of row `row`; *matchable turns false
+  /// when a part never matches (see EncodeKey).
+  Status Encode(size_t row, std::string* key, bool* matchable);
+
+ private:
+  struct Part {
+    const BoundExpr* expr;
+    RunMemo memo;
+    std::string bytes;  // the remembered row's encoding
+    bool matchable = true;
+  };
+  const table::ColumnBatch* batch_ = nullptr;
+  std::vector<Part> parts_;
+};
 
 /// A contiguous run of input rows processed by one worker.
 struct RowRange {

@@ -1,5 +1,6 @@
 #include "sql/parser.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <stdexcept>
@@ -95,6 +96,33 @@ class Parser {
         msg + " (line " + std::to_string(tok.line) + ", column " +
         std::to_string(tok.column) + ", offset " +
         std::to_string(tok.position) + ", token '" + tok.text + "')");
+  }
+
+  /// Counts one level of parser recursion for its scope.
+  class Nest {
+   public:
+    explicit Nest(size_t* depth) : depth_(depth) { ++*depth_; }
+    ~Nest() { --*depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+   private:
+    size_t* depth_;
+  };
+
+  Status NestingError() const {
+    return Err("query nests deeper than " + std::to_string(kMaxNestingDepth) +
+               " levels");
+  }
+  /// Fails once the recursion is deeper than the limit.
+  Status CheckDepth() const {
+    return depth_ > kMaxNestingDepth ? NestingError() : Status::OK();
+  }
+  /// Records `height` as the height of the expression just built; fails
+  /// past the limit, so no later pass recurses deeper than it.
+  Status SetHeight(size_t height) {
+    height_ = height;
+    return height > kMaxNestingDepth ? NestingError() : Status::OK();
   }
 
   Status ExpectEnd(const char* what) {
@@ -395,6 +423,8 @@ class Parser {
   Result<TableRef> ParseTableRef() {
     TableRef ref;
     if (Current().IsOperator("(")) {
+      const Nest nest(&depth_);
+      EXPLAINIT_RETURN_IF_ERROR(CheckDepth());
       Advance();
       EXPLAINIT_ASSIGN_OR_RETURN(auto sub, ParseSelectChain());
       EXPLAINIT_RETURN_IF_ERROR(Expect(TokenType::kOperator, ")"));
@@ -425,14 +455,25 @@ class Parser {
   }
 
   // Precedence climbing: OR < AND < NOT < comparison < additive <
-  // multiplicative < unary < postfix (subscript).
+  // multiplicative < unary < postfix (subscript). Every expression method
+  // leaves the height of the tree it returns in height_ (0 for a leaf).
   Result<ExprPtr> ParseExpr() { return ParseOr(); }
+
+  /// An expression nested inside another (parenthesised, an argument, a
+  /// subscript index, an IN item, a CASE part): one level deeper.
+  Result<ExprPtr> ParseNested() {
+    const Nest nest(&depth_);
+    EXPLAINIT_RETURN_IF_ERROR(CheckDepth());
+    return ParseOr();
+  }
 
   Result<ExprPtr> ParseOr() {
     EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAnd());
     while (Current().IsKeyword("OR")) {
+      const size_t lhs_height = height_;
       Advance();
       EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAnd());
+      EXPLAINIT_RETURN_IF_ERROR(SetHeight(1 + std::max(lhs_height, height_)));
       lhs = MakeBinary(BinaryOp::kOr, std::move(lhs), std::move(rhs));
     }
     return lhs;
@@ -441,8 +482,10 @@ class Parser {
   Result<ExprPtr> ParseAnd() {
     EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr lhs, ParseNot());
     while (Current().IsKeyword("AND")) {
+      const size_t lhs_height = height_;
       Advance();
       EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr rhs, ParseNot());
+      EXPLAINIT_RETURN_IF_ERROR(SetHeight(1 + std::max(lhs_height, height_)));
       lhs = MakeBinary(BinaryOp::kAnd, std::move(lhs), std::move(rhs));
     }
     return lhs;
@@ -450,8 +493,11 @@ class Parser {
 
   Result<ExprPtr> ParseNot() {
     if (Current().IsKeyword("NOT")) {
+      const Nest nest(&depth_);
+      EXPLAINIT_RETURN_IF_ERROR(CheckDepth());
       Advance();
       EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr operand, ParseNot());
+      EXPLAINIT_RETURN_IF_ERROR(SetHeight(height_ + 1));
       return MakeUnary(UnaryOp::kNot, std::move(operand));
     }
     return ParseComparison();
@@ -459,6 +505,7 @@ class Parser {
 
   Result<ExprPtr> ParseComparison() {
     EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAdditive());
+    size_t height = height_;
     // IS [NOT] NULL.
     if (Current().IsKeyword("IS")) {
       Advance();
@@ -468,6 +515,7 @@ class Parser {
         Advance();
       }
       EXPLAINIT_RETURN_IF_ERROR(Expect(TokenType::kKeyword, "NULL"));
+      EXPLAINIT_RETURN_IF_ERROR(SetHeight(height + 1));
       auto e = std::make_unique<Expr>();
       e->kind = ExprKind::kIsNull;
       e->left = std::move(lhs);
@@ -488,8 +536,10 @@ class Parser {
       e->left = std::move(lhs);
       e->negated = negated;
       EXPLAINIT_ASSIGN_OR_RETURN(e->between_lo, ParseAdditive());
+      height = std::max(height, height_);
       EXPLAINIT_RETURN_IF_ERROR(Expect(TokenType::kKeyword, "AND"));
       EXPLAINIT_ASSIGN_OR_RETURN(e->between_hi, ParseAdditive());
+      EXPLAINIT_RETURN_IF_ERROR(SetHeight(1 + std::max(height, height_)));
       return e;
     }
     if (Current().IsKeyword("IN")) {
@@ -500,17 +550,21 @@ class Parser {
       e->left = std::move(lhs);
       e->negated = negated;
       while (true) {
-        EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr item, ParseExpr());
+        EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr item, ParseNested());
+        height = std::max(height, height_);
         e->list.push_back(std::move(item));
         if (!Current().IsOperator(",")) break;
         Advance();
       }
       EXPLAINIT_RETURN_IF_ERROR(Expect(TokenType::kOperator, ")"));
+      EXPLAINIT_RETURN_IF_ERROR(SetHeight(height + 1));
       return e;
     }
     if (Current().IsKeyword("LIKE")) {
       Advance();
       EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAdditive());
+      EXPLAINIT_RETURN_IF_ERROR(
+          SetHeight(1 + std::max(height, height_) + (negated ? 1 : 0)));
       ExprPtr like =
           MakeBinary(BinaryOp::kLike, std::move(lhs), std::move(rhs));
       if (negated) return MakeUnary(UnaryOp::kNot, std::move(like));
@@ -528,6 +582,7 @@ class Parser {
       if (Current().IsOperator(m.text)) {
         Advance();
         EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAdditive());
+        EXPLAINIT_RETURN_IF_ERROR(SetHeight(1 + std::max(height, height_)));
         return MakeBinary(m.op, std::move(lhs), std::move(rhs));
       }
     }
@@ -539,8 +594,10 @@ class Parser {
     while (Current().IsOperator("+") || Current().IsOperator("-")) {
       const BinaryOp op =
           Current().IsOperator("+") ? BinaryOp::kAdd : BinaryOp::kSub;
+      const size_t lhs_height = height_;
       Advance();
       EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr rhs, ParseMultiplicative());
+      EXPLAINIT_RETURN_IF_ERROR(SetHeight(1 + std::max(lhs_height, height_)));
       lhs = MakeBinary(op, std::move(lhs), std::move(rhs));
     }
     return lhs;
@@ -553,8 +610,10 @@ class Parser {
       BinaryOp op = BinaryOp::kMul;
       if (Current().IsOperator("/")) op = BinaryOp::kDiv;
       if (Current().IsOperator("%")) op = BinaryOp::kMod;
+      const size_t lhs_height = height_;
       Advance();
       EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr rhs, ParseUnary());
+      EXPLAINIT_RETURN_IF_ERROR(SetHeight(1 + std::max(lhs_height, height_)));
       lhs = MakeBinary(op, std::move(lhs), std::move(rhs));
     }
     return lhs;
@@ -562,8 +621,11 @@ class Parser {
 
   Result<ExprPtr> ParseUnary() {
     if (Current().IsOperator("-")) {
+      const Nest nest(&depth_);
+      EXPLAINIT_RETURN_IF_ERROR(CheckDepth());
       Advance();
       EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
+      EXPLAINIT_RETURN_IF_ERROR(SetHeight(height_ + 1));
       return MakeUnary(UnaryOp::kNegate, std::move(operand));
     }
     return ParsePostfix();
@@ -572,9 +634,11 @@ class Parser {
   Result<ExprPtr> ParsePostfix() {
     EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr e, ParsePrimary());
     while (Current().IsOperator("[")) {
+      const size_t base_height = height_;
       Advance();
-      EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr index, ParseExpr());
+      EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr index, ParseNested());
       EXPLAINIT_RETURN_IF_ERROR(Expect(TokenType::kOperator, "]"));
+      EXPLAINIT_RETURN_IF_ERROR(SetHeight(1 + std::max(base_height, height_)));
       e = MakeSubscript(std::move(e), std::move(index));
     }
     return e;
@@ -582,9 +646,10 @@ class Parser {
 
   Result<ExprPtr> ParsePrimary() {
     const Token& tok = Current();
+    height_ = 0;  // a leaf, unless a branch below says otherwise
     if (tok.IsOperator("(")) {
       Advance();
-      EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr e, ParseExpr());
+      EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr e, ParseNested());
       EXPLAINIT_RETURN_IF_ERROR(Expect(TokenType::kOperator, ")"));
       return e;
     }
@@ -652,20 +717,25 @@ class Parser {
       Advance();
       auto e = std::make_unique<Expr>();
       e->kind = ExprKind::kCase;
+      size_t height = 0;
       while (Current().IsKeyword("WHEN")) {
         Advance();
         CaseBranch branch;
-        EXPLAINIT_ASSIGN_OR_RETURN(branch.condition, ParseExpr());
+        EXPLAINIT_ASSIGN_OR_RETURN(branch.condition, ParseNested());
+        height = std::max(height, height_);
         EXPLAINIT_RETURN_IF_ERROR(Expect(TokenType::kKeyword, "THEN"));
-        EXPLAINIT_ASSIGN_OR_RETURN(branch.result, ParseExpr());
+        EXPLAINIT_ASSIGN_OR_RETURN(branch.result, ParseNested());
+        height = std::max(height, height_);
         e->case_branches.push_back(std::move(branch));
       }
       if (e->case_branches.empty()) return Err("CASE requires WHEN branches");
       if (Current().IsKeyword("ELSE")) {
         Advance();
-        EXPLAINIT_ASSIGN_OR_RETURN(e->case_else, ParseExpr());
+        EXPLAINIT_ASSIGN_OR_RETURN(e->case_else, ParseNested());
+        height = std::max(height, height_);
       }
       EXPLAINIT_RETURN_IF_ERROR(Expect(TokenType::kKeyword, "END"));
+      EXPLAINIT_RETURN_IF_ERROR(SetHeight(height + 1));
       return e;
     }
     // Identifiers, plus soft statement keywords (SCORE, TOP, ...) in
@@ -678,19 +748,22 @@ class Parser {
       if (Current().IsOperator("(")) {
         Advance();
         std::vector<ExprPtr> args;
+        size_t height = 0;
         if (Current().IsOperator("*")) {
           // COUNT(*).
           args.push_back(MakeStar());
           Advance();
         } else if (!Current().IsOperator(")")) {
           while (true) {
-            EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr a, ParseExpr());
+            EXPLAINIT_ASSIGN_OR_RETURN(ExprPtr a, ParseNested());
+            height = std::max(height, height_);
             args.push_back(std::move(a));
             if (!Current().IsOperator(",")) break;
             Advance();
           }
         }
         EXPLAINIT_RETURN_IF_ERROR(Expect(TokenType::kOperator, ")"));
+        EXPLAINIT_RETURN_IF_ERROR(SetHeight(height + 1));
         return MakeFunction(std::move(name), std::move(args));
       }
       // Qualified column: a.b.
@@ -714,6 +787,8 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  size_t depth_ = 0;   // open recursive productions
+  size_t height_ = 0;  // of the expression last returned
 };
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
 namespace explainit::table {
 
@@ -137,6 +138,28 @@ bool Value::Equals(const Value& other) const {
     return true;
   }
   return false;
+}
+
+bool Value::Identical(const Value& other) const {
+  if (data_.index() != other.data_.index()) return false;
+  switch (data_.index()) {
+    case 1: {
+      const double a = std::get<double>(data_);
+      const double b = std::get<double>(other.data_);
+      return std::memcmp(&a, &b, sizeof(a)) == 0;
+    }
+    case 2:
+      return std::get<int64_t>(data_) == std::get<int64_t>(other.data_);
+    case 3:
+      return std::get<TimestampTag>(data_).t ==
+             std::get<TimestampTag>(other.data_).t;
+    case 4:
+      return std::get<std::string>(data_) == std::get<std::string>(other.data_);
+    case 5:
+      return AsMap() == other.AsMap();
+    default:
+      return true;  // NULL
+  }
 }
 
 int Value::Compare(const Value& other) const {

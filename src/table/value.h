@@ -72,6 +72,11 @@ class Value {
   /// SQL ordering for ORDER BY / comparisons: null sorts first; numerics
   /// compare numerically; strings lexicographically. Returns <0, 0, >0.
   int Compare(const Value& other) const;
+  /// Same representation: same type and either the same numeric bits,
+  /// equal string bytes, or the same map object (NULL is identical to
+  /// NULL). Stricter than Equals — two identical values are
+  /// indistinguishable to any pure function of them.
+  bool Identical(const Value& other) const;
 
   std::string ToString() const;
 

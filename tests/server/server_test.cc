@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "server/client.h"
 #include "server/protocol.h"
 #include "simulator/case_studies.h"
+#include "sql/parser.h"
 
 namespace explainit::server {
 namespace {
@@ -180,6 +182,29 @@ TEST_F(ServerTest, ParseErrorsCarryPosition) {
   EXPECT_TRUE(reply.status().IsParseError()) << reply.status().ToString();
   EXPECT_NE(reply.status().message().find("line 1"), std::string::npos)
       << reply.status().message();
+}
+
+TEST_F(ServerTest, DeeplyNestedQueryIsAParseErrorAndTheServerKeepsServing) {
+  StartServer();
+  Client client = Connect();
+  auto nested = [](size_t levels) {
+    return "SELECT " + std::string(levels, '(') + "1" +
+           std::string(levels, ')');
+  };
+  // At the limit the statement runs; one past it, and far past it (5,000
+  // levels used to kill the server with a stack overflow), it is a
+  // ParseError and the session stays usable.
+  auto at = client.Query(nested(sql::kMaxNestingDepth));
+  EXPECT_TRUE(at.ok()) << at.status().ToString();
+  for (size_t levels : {sql::kMaxNestingDepth + 1, size_t{5000}}) {
+    auto reply = client.Query(nested(levels));
+    ASSERT_FALSE(reply.ok());
+    EXPECT_TRUE(reply.status().IsParseError()) << reply.status().ToString();
+  }
+  auto after = client.Query(kSelect);
+  EXPECT_TRUE(after.ok()) << after.status().ToString();
+  Client second = Connect();
+  EXPECT_TRUE(second.Query(kSelect).ok());
 }
 
 TEST_F(ServerTest, SessionCapRejectsWithBusy) {

@@ -301,5 +301,69 @@ TEST_F(BoundExprTest, ColumnsAndConstantKeySubscriptsAreBorrowed) {
   EXPECT_EQ(v, &table_.At(3, 4).AsMap()->at("k"));
 }
 
+TEST_F(BoundExprTest, RecordsReadColumnsAndRowLocality) {
+  struct Case {
+    const char* text;
+    std::vector<size_t> columns;
+    bool row_local;
+    bool is_column;
+  };
+  for (const Case& c : std::vector<Case>{
+           {"c", {2}, true, true},
+           {"CONCAT(c, '@', m['k'])", {2, 4}, true, false},
+           {"a + a * b", {0, 1}, true, false},
+           {"1 + 2", {}, true, false},
+           {"b - LAG(b)", {1}, false, false},
+       }) {
+    SCOPED_TRACE(c.text);
+    const ExprPtr e = ParseOrDie(c.text);
+    const BoundExpr bound = BoundExpr::Bind(*e, table_.schema(), functions_);
+    EXPECT_EQ(bound.columns(), c.columns);
+    EXPECT_EQ(bound.row_local(), c.row_local);
+    EXPECT_EQ(bound.is_column(), c.is_column);
+    EXPECT_EQ(RunMemo(bound).enabled(), c.row_local && !c.is_column);
+  }
+}
+
+TEST_F(BoundExprTest, RunMemoHitsOnlyWhereTheResultRepeats) {
+  // Every fixture row three times over (copies share their map objects),
+  // then once more with fresh but equal maps: a memo hit must always
+  // reproduce the row's own result.
+  Table runs(table_.schema());
+  for (size_t r = 0; r < table_.num_rows(); ++r) {
+    for (int k = 0; k < 3; ++k) runs.AppendRow(table_.Row(r));
+  }
+  for (size_t r = 0; r < table_.num_rows(); ++r) {
+    std::vector<Value> row = table_.Row(r);
+    if (const table::ValueMap* m = row[4].AsMap(); m != nullptr) {
+      row[4] = Value::Map(*m);
+    }
+    runs.AppendRow(std::move(row));
+  }
+  const ColumnBatch view = ColumnBatch::View(runs, 0, runs.num_rows());
+  AstGenerator gen(0x3E30);
+  size_t hits = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const ExprPtr e = i % 2 == 0 ? gen.Bool(3) : gen.Arith(3);
+    const BoundExpr bound = BoundExpr::Bind(*e, runs.schema(), functions_);
+    RunMemo memo(bound);
+    Value cached;
+    for (size_t r = 0; r < runs.num_rows(); ++r) {
+      const Result<Value> got = bound.EvalRow(view, r);
+      if (memo.Hit(view, r)) {
+        ++hits;
+        ExpectSame(got, cached, e->ToString() + " @row " + std::to_string(r));
+        continue;
+      }
+      if (got.ok()) {
+        cached = *got;
+        memo.Remember(r);
+      }
+    }
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(hits, 10000u);
+}
+
 }  // namespace
 }  // namespace explainit::sql

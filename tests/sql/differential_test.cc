@@ -235,6 +235,31 @@ const char* const kCorpus[] = {
     "WHERE metric_name = 'cpu' GROUP BY DATE_TRUNC('minute', timestamp)",
     "SELECT DATE_TRUNC('hour', timestamp) AS h, COUNT(value) AS c "
     "FROM tsdb GROUP BY DATE_TRUNC('hour', timestamp)",
+    // --- group keys computed once per series run ----------------------------
+    // EXPLAIN's USING shape: one group per row, the CONCAT key repeating
+    // for every point of a series.
+    "SELECT timestamp, CONCAT(metric_name, '@', tag['host']) AS family, "
+    "AVG(value) AS v FROM tsdb WHERE metric_name != 'sparse' "
+    "GROUP BY timestamp, CONCAT(metric_name, '@', tag['host'])",
+    // Keys that hit NULL (h1, and every key over the missing dc tag of
+    // the sparse series), NaN (SQRT of a negative) and -0.0.
+    "SELECT NULLIF(tag['host'], 'h1') AS h, SQRT(value - 20) AS r, "
+    "-(value * 0) AS z, COUNT(*) AS n, SUM(value) AS s FROM tsdb "
+    "WHERE metric_name = 'cpu' "
+    "GROUP BY NULLIF(tag['host'], 'h1'), SQRT(value - 20), -(value * 0)",
+    "SELECT tag['dc'] AS dc, CONCAT(metric_name, '@', tag['dc']) AS k, "
+    "COUNT(*) AS n, MAX(value) AS mx FROM tsdb "
+    "GROUP BY tag['dc'], CONCAT(metric_name, '@', tag['dc'])",
+    // HAVING over one-group-per-row groups, reading the computed key too.
+    "SELECT timestamp, CONCAT(metric_name, '@', tag['host']) AS family, "
+    "AVG(value) AS v FROM tsdb "
+    "GROUP BY timestamp, CONCAT(metric_name, '@', tag['host']) "
+    "HAVING AVG(value) > 10 "
+    "AND CONCAT(metric_name, '@', tag['host']) != 'cpu@h2'",
+    // Index mode (STDDEV) over the same shape.
+    "SELECT CONCAT(metric_name, '@', tag['host']) AS family, "
+    "STDDEV(value) AS sd FROM tsdb "
+    "GROUP BY CONCAT(metric_name, '@', tag['host'])",
 };
 
 bool NumericType(const Value& v) {

@@ -20,6 +20,7 @@
 //     error past the LIMIT never surfaces at either level.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -29,6 +30,7 @@
 #include "sql/operators/hash_join.h"
 #include "sql/operators/scan.h"
 #include "sql/parser.h"
+#include "tsdb/store.h"
 
 namespace explainit::sql {
 namespace {
@@ -554,6 +556,187 @@ TEST_F(KeyEncodingTest, HashJoinMatchesOnlyEqualValues) {
   ExpectJoinsAgree("zeros", 4);
   // Each value meets only itself: 1.0 never meets '1', nor 7 '7'.
   ExpectJoinsAgree("mixed", 5);
+}
+
+// ---------------------------------------------------------------------------
+// HashAggregate evaluates a computed group key once per run of rows whose
+// input cells repeat (a store scan repeats metric_name and each series'
+// shared tag map), reuses a select item across groups the same way, and
+// merges its per-shard group tables in shard order.
+// ---------------------------------------------------------------------------
+
+class GroupRunTest : public ::testing::Test {
+ protected:
+  static constexpr int64_t kPointsPerSeries = 512;
+
+  void SetUp() override {
+    functions_ = FunctionRegistry::Builtins();
+    // A pure UDF that counts its calls.
+    functions_.Register(
+        "COUNTED",
+        [this](const std::vector<Value>& args) -> Result<Value> {
+          calls_.fetch_add(1);
+          return Value::String(args.at(0).ToString());
+        });
+    // Eight series of 512 points: metrics a and b over hosts h0..h3, so
+    // a/hN and b/hN carry equal tag maps that are different objects, and
+    // every series lies inside one 1024-row batch.
+    auto store = std::make_shared<tsdb::SeriesStore>();
+    for (const char* metric : {"a", "b"}) {
+      for (int host = 0; host < 4; ++host) {
+        const tsdb::TagSet tags{{"host", "h" + std::to_string(host)}};
+        for (int64_t i = 0; i < kPointsPerSeries; ++i) {
+          ASSERT_TRUE(
+              store->Write(metric, tags, i * 60, static_cast<double>(i % 9))
+                  .ok());
+        }
+      }
+    }
+    tsdb::ScanRequest req;
+    req.range = TimeRange{0, kPointsPerSeries * 60};
+    auto scanned = store->ScanToTable(req);
+    ASSERT_TRUE(scanned.ok());
+    ASSERT_EQ(scanned->num_rows(), 8u * kPointsPerSeries);
+    catalog_.RegisterTable("tsdb", std::move(scanned).value());
+
+    // The same tag values, but a fresh map object in every row.
+    Table maps(Schema{{{"m", DataType::kMap}, {"v", DataType::kDouble}}});
+    for (int r = 0; r < 3000; ++r) {
+      table::ValueMap m;
+      m["host"] = Value::String("h" + std::to_string(r % 3));
+      maps.AppendRow({Value::Map(std::move(m)), Value::Double(1.0)});
+    }
+    catalog_.RegisterTable("maps", std::move(maps));
+  }
+
+  Table Run(const std::string& sql, size_t parallelism) {
+    Executor ex(&catalog_, &functions_, parallelism);
+    calls_ = 0;
+    auto r = ex.Query(sql);
+    EXPECT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+    return r.ok() ? std::move(r).value() : Table();
+  }
+
+  std::atomic<int> calls_{0};
+  Catalog catalog_;
+  FunctionRegistry functions_;
+};
+
+TEST_F(GroupRunTest, ComputedKeyRunsOncePerSeriesInPhaseOne) {
+  for (size_t p : {1, 4}) {
+    SCOPED_TRACE("p=" + std::to_string(p));
+    // The key reads metric_name and the tag map: one call per series.
+    Table t = Run(
+        "SELECT COUNT(*) AS n FROM tsdb "
+        "GROUP BY COUNTED(CONCAT(metric_name, '@', tag['host']))",
+        p);
+    EXPECT_EQ(calls_.load(), 8);
+    ASSERT_EQ(t.num_rows(), 8u);
+    for (size_t r = 0; r < 8; ++r) {
+      EXPECT_EQ(t.At(r, 0).AsInt(), kPointsPerSeries);
+    }
+    // A key of metric_name alone repeats across series too: one call per
+    // run of equal names within a batch (a/h0-h1, a/h2-h3, b/h0-h1,
+    // b/h2-h3).
+    t = Run("SELECT COUNT(*) AS n FROM tsdb GROUP BY COUNTED(metric_name)", p);
+    EXPECT_EQ(calls_.load(), 4);
+    ASSERT_EQ(t.num_rows(), 2u);
+    EXPECT_EQ(t.At(0, 0).AsInt(), 4 * kPointsPerSeries);
+    EXPECT_EQ(t.At(1, 0).AsInt(), 4 * kPointsPerSeries);
+  }
+}
+
+TEST_F(GroupRunTest, SelectItemReusedAcrossGroupsWithRepeatedInputs) {
+  // 1024 (metric, timestamp) groups. Phase 1 calls COUNTED once per run
+  // of equal names within a batch (4); finalisation once per run of
+  // groups whose representative rows share a metric name (a/h0's rows
+  // for a, b/h0's for b).
+  for (size_t p : {1, 4}) {
+    const Table t = Run(
+        "SELECT COUNTED(metric_name) AS k, timestamp, COUNT(*) AS n "
+        "FROM tsdb GROUP BY COUNTED(metric_name), timestamp",
+        p);
+    EXPECT_EQ(calls_.load(), 4 + 2) << "p=" << p;
+    ASSERT_EQ(t.num_rows(), 2u * kPointsPerSeries);
+    EXPECT_EQ(t.At(0, 0).AsString(), "a");
+    EXPECT_EQ(t.At(kPointsPerSeries, 0).AsString(), "b");
+    for (size_t r = 0; r < t.num_rows(); ++r) {
+      EXPECT_EQ(t.At(r, 2).AsInt(), 4);
+    }
+  }
+}
+
+TEST_F(GroupRunTest, EqualTagMapsFromDifferentObjectsGroupTogether) {
+  for (size_t p : {1, 4}) {
+    SCOPED_TRACE("p=" + std::to_string(p));
+    // a/hN and b/hN: equal maps, distinct objects, one group per host.
+    for (const char* key : {"COUNTED(tag)", "tag"}) {
+      const Table t = Run(std::string("SELECT tag['host'] AS h, COUNT(*) AS n "
+                                      "FROM tsdb GROUP BY ") +
+                              key,
+                          p);
+      ASSERT_EQ(t.num_rows(), 4u) << key;
+      for (size_t r = 0; r < 4; ++r) {
+        EXPECT_EQ(t.At(r, 0).AsString(), "h" + std::to_string(r)) << key;
+        EXPECT_EQ(t.At(r, 1).AsInt(), 2 * kPointsPerSeries) << key;
+      }
+    }
+    // A fresh map in every row is never reused, and still groups by value.
+    const Table t =
+        Run("SELECT COUNTED(m) AS k, SUM(v) AS s FROM maps GROUP BY COUNTED(m)",
+            p);
+    EXPECT_EQ(calls_.load(), 3000 + 3);
+    ASSERT_EQ(t.num_rows(), 3u);
+    for (size_t r = 0; r < 3; ++r) EXPECT_EQ(t.At(r, 1).AsDouble(), 1000.0);
+  }
+}
+
+TEST_F(GroupRunTest, ShardMergeKeepsFirstSeenOrderAndValues) {
+  // Keys first seen in every shard (including NULL, NaN, 0.0 and -0.0,
+  // which group together) must merge into the p=1 order, with equal
+  // values, in both partial and index mode.
+  Table wide(Schema{{{"k", DataType::kDouble}, {"v", DataType::kDouble}}});
+  for (int r = 0; r < 6000; ++r) {
+    Value k = Value::Double(r < 3000 ? r % 7 : 100 + r % 5);
+    if (r % 1000 == 999) k = Value::Null();
+    if (r % 1500 == 1499) k = Value::Double(std::nan(""));
+    if (r % 700 == 0) k = Value::Double(r % 1400 == 0 ? 0.0 : -0.0);
+    wide.AppendRow({std::move(k), Value::Double(r % 11)});
+  }
+  catalog_.RegisterTable("wide", std::move(wide));
+  // 7 keys r % 7 (0.0 and -0.0 among them), 5 keys past row 3000, NULL
+  // and NaN (4 rows each, which the HAVING drops).
+  const std::pair<const char*, size_t> queries[] = {
+      {"SELECT k, COUNT(*) AS n, SUM(v) AS s, MIN(v) AS lo, MAX(v) AS hi, "
+       "AVG(v) AS a FROM wide GROUP BY k",
+       14},
+      {"SELECT k, STDDEV(v) AS sd, COUNT(*) AS n FROM wide GROUP BY k "
+       "HAVING COUNT(*) > 5",
+       12}};
+  for (const auto& [sql, groups] : queries) {
+    SCOPED_TRACE(sql);
+    Executor serial(&catalog_, &functions_, 1);
+    Executor parallel(&catalog_, &functions_, 4);
+    auto r1 = serial.Query(sql);
+    auto r4 = parallel.Query(sql);
+    ASSERT_TRUE(r1.ok()) << r1.status().ToString();
+    ASSERT_TRUE(r4.ok()) << r4.status().ToString();
+    ASSERT_EQ(r1->num_rows(), r4->num_rows());
+    EXPECT_EQ(r1->num_rows(), groups);
+    for (size_t r = 0; r < r1->num_rows(); ++r) {
+      for (size_t c = 0; c < r1->num_columns(); ++c) {
+        EXPECT_EQ(r1->At(r, c).ToString(), r4->At(r, c).ToString())
+            << "row " << r << " col " << c;
+      }
+    }
+    bool four_shards = false;
+    for (const OperatorStats& op : parallel.last_stats().operators) {
+      if (op.name == "HashAggregate") {
+        four_shards = op.detail.find("4 shards") != std::string::npos;
+      }
+    }
+    EXPECT_TRUE(four_shards) << "the parallel run must merge four shards";
+  }
 }
 
 }  // namespace

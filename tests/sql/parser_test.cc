@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace explainit::sql {
 namespace {
 
@@ -509,6 +511,74 @@ TEST(ParserTest, DurationLiteralUsableInExpressions) {
   ASSERT_TRUE(e.ok()) << e.status().ToString();
   EXPECT_NE((*e)->ToString().find("300"), std::string::npos)
       << (*e)->ToString();
+}
+
+/// `SELECT` + `open`×n + `leaf` + `close`×n.
+std::string Nested(size_t n, const std::string& open, const std::string& leaf,
+                   const std::string& close) {
+  std::string q = "SELECT ";
+  for (size_t i = 0; i < n; ++i) q += open;
+  q += leaf;
+  for (size_t i = 0; i < n; ++i) q += close;
+  return q;
+}
+
+void ExpectNestingError(const std::string& sql) {
+  auto stmt = ParseStatement(sql);
+  ASSERT_FALSE(stmt.ok());
+  EXPECT_TRUE(stmt.status().IsParseError()) << stmt.status().ToString();
+  EXPECT_NE(stmt.status().message().find("nests deeper than 256 levels"),
+            std::string::npos)
+      << stmt.status().message();
+}
+
+TEST(ParserTest, NestingLimitHoldsAtTheLimitAndFailsOnePast) {
+  const size_t n = kMaxNestingDepth;
+  ASSERT_EQ(n, 256u);
+  struct Shape {
+    const char* open;
+    const char* leaf;
+    const char* close;
+  };
+  for (const Shape& s : {Shape{"(", "1", ")"}, Shape{"ABS(", "1", ")"},
+                         Shape{"- ", "1", ""}, Shape{"NOT ", "1", ""},
+                         Shape{"x FROM (SELECT ", "1 AS x", ")"}}) {
+    SCOPED_TRACE(s.open);
+    auto at = ParseStatement(Nested(n, s.open, s.leaf, s.close));
+    EXPECT_TRUE(at.ok()) << at.status().ToString();
+    ExpectNestingError(Nested(n + 1, s.open, s.leaf, s.close));
+  }
+}
+
+TEST(ParserTest, NestingLimitBoundsBinaryChainHeight) {
+  // `1 + 1 + ...` parses in a loop but builds a left-deep tree: the limit
+  // counts its height, so later recursive passes stay shallow too.
+  auto chain = [](size_t ops, const char* op) {
+    std::string q = "SELECT 1";
+    for (size_t i = 0; i < ops; ++i) q += op;
+    return q;
+  };
+  for (const char* op : {" + 1", " * 1", " AND 1", " OR 1"}) {
+    SCOPED_TRACE(op);
+    EXPECT_TRUE(ParseStatement(chain(kMaxNestingDepth, op)).ok());
+    ExpectNestingError(chain(kMaxNestingDepth + 1, op));
+    ExpectNestingError(chain(100000, op));
+  }
+}
+
+TEST(ParserTest, DeeplyNestedStatementIsAParseErrorNotACrash) {
+  // 5,000 levels used to overflow the stack (SIGSEGV) inside the parser.
+  ExpectNestingError(Nested(5000, "(", "1", ")"));
+  auto expr = ParseExpression(std::string(5000, '(') + "1" +
+                              std::string(5000, ')'));
+  ASSERT_FALSE(expr.ok());
+  EXPECT_TRUE(expr.status().IsParseError());
+  // The same limit holds inside every clause and EXPLAIN sub-select.
+  ExpectNestingError("SELECT a FROM t WHERE " + std::string(300, '(') +
+                     "a = 1" + std::string(300, ')'));
+  ExpectNestingError("EXPLAIN (SELECT ts, " + std::string(300, '(') + "1" +
+                     std::string(300, ')') + " AS y FROM t) USING "
+                     "(SELECT ts, v FROM t)");
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace explainit::table {
 namespace {
 
@@ -115,6 +117,25 @@ TEST(ValueTest, DataTypeNames) {
   EXPECT_EQ(DataTypeName(DataType::kDouble), "DOUBLE");
   EXPECT_EQ(DataTypeName(DataType::kMap), "MAP");
   EXPECT_EQ(DataTypeName(DataType::kTimestamp), "TIMESTAMP");
+}
+
+TEST(ValueTest, IdenticalMeansSameRepresentation) {
+  EXPECT_TRUE(Value::Null().Identical(Value::Null()));
+  EXPECT_TRUE(Value::Double(1.5).Identical(Value::Double(1.5)));
+  EXPECT_FALSE(Value::Double(0.0).Identical(Value::Double(-0.0)));
+  EXPECT_TRUE(Value::Double(std::nan("")).Identical(Value::Double(std::nan(""))));
+  EXPECT_FALSE(Value::Double(1.0).Identical(Value::Int(1)));
+  EXPECT_FALSE(Value::Int(7).Identical(Value::Timestamp(7)));
+  EXPECT_TRUE(Value::Timestamp(7).Identical(Value::Timestamp(7)));
+  EXPECT_TRUE(Value::String("ab").Identical(Value::String("ab")));
+  EXPECT_FALSE(Value::String("ab").Identical(Value::String("abc")));
+  ValueMap m;
+  m["k"] = Value::Int(1);
+  const Value a = Value::Map(m);
+  const Value copy = a;  // shares the map object
+  EXPECT_TRUE(a.Identical(copy));
+  EXPECT_TRUE(a.Equals(Value::Map(m)));
+  EXPECT_FALSE(a.Identical(Value::Map(m)));  // equal, but another object
 }
 
 }  // namespace
