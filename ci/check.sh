@@ -112,21 +112,23 @@ fi
 
 if [[ "${STAGE}" == "tsan" || "${STAGE}" == "all" ]]; then
   # ThreadSanitizer job: the SQL suites that drive the sharded operators
-  # (Filter/Project morsel rounds, HashAggregate shards, the partitioned
+  # (Filter/Project morsel rounds, HashAggregate shards with their
+  # group-table merge and per-shard key and item memos, the partitioned
   # join/sort/materialisation paths) and the expression evaluator; the
-  # worker pool itself; the tiered store's write/scan/seal concurrency;
-  # parallel ranking and ridge fits; the server's sessions; and the
-  # monitor scheduler and write tap. (ASan and TSan cannot
-  # share a build tree.)
+  # EXPLAIN suites, whose every statement runs those aggregates and the
+  # family pivot under the shared pool; the worker pool itself; the
+  # tiered store's write/scan/seal concurrency; parallel ranking and
+  # ridge fits; the server's sessions; and the monitor scheduler and
+  # write tap. (ASan and TSan cannot share a build tree.)
   echo "=== configure: ${ROOT}/build-tsan (ThreadSanitizer) ==="
   cmake -B "${ROOT}/build-tsan" -S "${ROOT}" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DEXPLAINIT_TSAN=ON
   echo "=== build: ${ROOT}/build-tsan ==="
   cmake --build "${ROOT}/build-tsan" -j "${JOBS}"
-  echo "=== ctest (tsan): SQL, pool, store, ranking, server and monitor suites ==="
+  echo "=== ctest (tsan): SQL, EXPLAIN, pool, store, ranking, server and monitor suites ==="
   ctest --test-dir "${ROOT}/build-tsan" --output-on-failure -j "${JOBS}" \
-    -R 'operators_test|differential_test|executor_test|planner_test|logical_plan_test|optimizer_test|fuzz_roundtrip_test|bound_expr_test|worker_pool_test|server_test|concurrency_test|tiered_store_test|ranking_test|ridge_test|anomaly_test|monitor_test|monitor_stress_test'
+    -R 'operators_test|differential_test|executor_test|planner_test|logical_plan_test|optimizer_test|fuzz_roundtrip_test|bound_expr_test|engine_test|explain_e2e_test|feature_family_test|worker_pool_test|server_test|concurrency_test|tiered_store_test|ranking_test|ridge_test|anomaly_test|monitor_test|monitor_stress_test'
 fi
 
 echo "=== checks passed (${STAGE}) ==="

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <optional>
 #include <string_view>
 #include <unordered_map>
 
@@ -99,11 +100,22 @@ Result<std::vector<FeatureFamily>> BuildFamilies(
   return out;
 }
 
+namespace {
+
+/// Where a SQL result keeps its timestamps and family names.
+struct FamilyColumns {
+  size_t ts = 0;
+  std::optional<size_t> name;  // absent: every row is the default family
+};
+
+/// The ts column is one named ts (else timestamp), else the first column
+/// whose first non-null cell is a TIMESTAMP; the name column is one named
+/// name (unless that is the ts column), else the first other column
+/// whose first non-null cell is a string.
 Result<FamilyColumns> LocateFamilyColumns(const table::Table& t) {
   if (t.num_columns() == 0) {
     return Status::InvalidArgument("empty query result");
   }
-  // The first non-null cell of column c has type `type`.
   auto first_cell_is = [&](size_t c, table::DataType type) {
     for (size_t r = 0; r < t.num_rows(); ++r) {
       if (!t.At(r, c).is_null()) return t.At(r, c).type() == type;
@@ -131,6 +143,169 @@ Result<FamilyColumns> LocateFamilyColumns(const table::Table& t) {
   }
   return cols;
 }
+
+/// One feature of a row: its name, its cell, and its position in the row
+/// (of equally named entries the last one wins).
+struct Entry {
+  std::string_view key;
+  const table::Value* value;
+  size_t seq;
+};
+
+/// What the pivot reads: rows with a non-NULL ts, whose features are the
+/// `value_cols` cells (a map cell flattening into its entries). A
+/// Feature Family Table is `strict`: a row with a NULL name, or a v cell
+/// that is not a map, is skipped. Otherwise a missing or NULL name is
+/// `default_family`.
+struct PivotInput {
+  size_t ts = 0;
+  std::optional<size_t> name;
+  std::vector<size_t> value_cols;
+  bool strict = false;
+  std::string default_family;
+};
+
+/// The one pivot from rows to families. Families and their features are
+/// numbered in first-seen order, and each (family, feature) owns a
+/// column of one flat buffer over the sorted union of timestamps, so
+/// nothing is allocated per row or per cell.
+Result<std::vector<FeatureFamily>> Pivot(const table::Table& t,
+                                         const PivotInput& in) {
+  struct Family {
+    std::string name;
+    std::vector<std::string> features;
+    std::vector<uint32_t> slots;  // parallel to features
+    std::map<std::string, uint32_t, std::less<>> slot_of;
+  };
+  struct Cell {
+    uint32_t slot;
+    uint32_t ts;  // index into ts_seen
+    double value;
+  };
+  std::vector<Family> families;
+  std::unordered_map<std::string, uint32_t> family_of;
+  std::vector<EpochSeconds> ts_seen;  // distinct, in first-seen order
+  std::unordered_map<EpochSeconds, uint32_t> ts_of;
+  std::vector<Cell> cells;
+  uint32_t num_slots = 0;
+
+  // The family and timestamp lookups are skipped while a row repeats the
+  // previous row's name cell or timestamp.
+  std::vector<Entry> entries;
+  const table::Value* prev_name = nullptr;
+  uint32_t fam = UINT32_MAX;
+  uint32_t ts_index = UINT32_MAX;
+  EpochSeconds prev_ts = 0;
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    const table::Value& ts_v = t.At(r, in.ts);
+    if (ts_v.is_null()) continue;
+    const table::Value* name_v = nullptr;
+    if (in.name.has_value() && !t.At(r, *in.name).is_null()) {
+      name_v = &t.At(r, *in.name);
+    }
+    if (in.strict && (name_v == nullptr ||
+                      t.At(r, in.value_cols[0]).AsMap() == nullptr)) {
+      continue;
+    }
+
+    // The row's features in name order: a single column is in order
+    // already (a map's keys are sorted and distinct).
+    entries.clear();
+    for (size_t c : in.value_cols) {
+      const table::Value& cell = t.At(r, c);
+      if (const table::ValueMap* m = cell.AsMap(); m != nullptr) {
+        for (const auto& [k, mv] : *m) {
+          entries.push_back({k, &mv, entries.size()});
+        }
+      } else {
+        entries.push_back({t.schema().field(c).name, &cell, entries.size()});
+      }
+    }
+    if (in.value_cols.size() > 1) {
+      std::sort(entries.begin(), entries.end(),
+                [](const Entry& a, const Entry& b) {
+                  return a.key != b.key ? a.key < b.key : a.seq < b.seq;
+                });
+      size_t kept = 0;
+      for (size_t i = 0; i < entries.size(); ++i) {
+        if (i + 1 == entries.size() || entries[i + 1].key != entries[i].key) {
+          entries[kept++] = entries[i];
+        }
+      }
+      entries.resize(kept);
+    }
+
+    if (fam == UINT32_MAX || (name_v == nullptr) != (prev_name == nullptr) ||
+        (name_v != nullptr && !name_v->Identical(*prev_name))) {
+      std::string fam_name =
+          name_v != nullptr ? name_v->AsString() : in.default_family;
+      const auto [it, inserted] = family_of.try_emplace(
+          fam_name, static_cast<uint32_t>(families.size()));
+      if (inserted) families.emplace_back().name = std::move(fam_name);
+      fam = it->second;
+    }
+    prev_name = name_v;
+
+    const EpochSeconds ts = ts_v.AsTimestamp();
+    if (ts_index == UINT32_MAX || ts != prev_ts) {
+      const auto [it, inserted] =
+          ts_of.try_emplace(ts, static_cast<uint32_t>(ts_seen.size()));
+      if (inserted) ts_seen.push_back(ts);
+      ts_index = it->second;
+      prev_ts = ts;
+    }
+
+    Family& f = families[fam];
+    for (const Entry& e : entries) {
+      auto it = f.slot_of.find(e.key);
+      if (it == f.slot_of.end()) {
+        it = f.slot_of.emplace(std::string(e.key), num_slots++).first;
+        f.features.emplace_back(e.key);
+        f.slots.push_back(it->second);
+      }
+      if (!e.value->is_null()) {
+        cells.push_back({it->second, ts_index, e.value->AsDouble()});
+      }
+    }
+  }
+
+  // Cells land in slot-major columns over the sorted grid, later cells
+  // overwriting earlier ones.
+  std::vector<EpochSeconds> grid = ts_seen;
+  std::sort(grid.begin(), grid.end());
+  std::vector<uint32_t> grid_row(ts_seen.size());
+  for (size_t i = 0; i < ts_seen.size(); ++i) {
+    grid_row[i] = static_cast<uint32_t>(
+        std::lower_bound(grid.begin(), grid.end(), ts_seen[i]) -
+        grid.begin());
+  }
+  const size_t rows = grid.size();
+  std::vector<double> columns(size_t{num_slots} * rows,
+                              std::numeric_limits<double>::quiet_NaN());
+  for (const Cell& c : cells) {
+    columns[size_t{c.slot} * rows + grid_row[c.ts]] = c.value;
+  }
+
+  std::vector<FeatureFamily> out;
+  out.reserve(families.size());
+  std::vector<double> col;
+  for (Family& f : families) {
+    FeatureFamily& fam_out = out.emplace_back();
+    fam_out.name = std::move(f.name);
+    fam_out.timestamps = grid;
+    fam_out.feature_names = std::move(f.features);
+    fam_out.data = la::Matrix(rows, f.slots.size());
+    for (size_t c = 0; c < f.slots.size(); ++c) {
+      const double* src = columns.data() + size_t{f.slots[c]} * rows;
+      col.assign(src, src + rows);
+      tsdb::InterpolateMissing(col);
+      fam_out.data.SetCol(c, col);
+    }
+  }
+  return out;
+}
+
+}  // namespace
 
 Result<table::Table> NormalizeToFeatureFamilyTable(
     const table::Table& t, const std::string& default_family) {
@@ -165,216 +340,6 @@ Result<table::Table> NormalizeToFeatureFamilyTable(
   return out;
 }
 
-namespace {
-
-/// One feature of a row: its name and its cell.
-struct Entry {
-  std::string_view key;
-  const table::Value* value;
-  size_t seq;  // position before sorting: ties keep the last assignment
-};
-
-/// What the pivot reads. A Feature Family Table (`ff_v` set) yields one
-/// row per (ts, name, v) with v's entries; a query result yields every
-/// column but ts and name, flattened as NormalizeToFeatureFamilyTable
-/// does, under `default_family` when the name is missing.
-struct PivotInput {
-  size_t ts = 0;
-  std::optional<size_t> name;
-  std::optional<size_t> ff_v;
-  std::string default_family;
-};
-
-/// The one pivot from rows to families. Families and their features are
-/// numbered in first-seen order; each (family, feature) owns a column of
-/// one flat buffer over the sorted union of timestamps, so nothing is
-/// allocated per row or per cell.
-Result<std::vector<FeatureFamily>> Pivot(const table::Table& t,
-                                         const PivotInput& in) {
-  struct Family {
-    std::string name;
-    std::vector<std::string> features;
-    std::vector<uint32_t> slots;  // parallel to features
-    std::map<std::string, uint32_t, std::less<>> slot_of;
-  };
-  struct Cell {
-    uint32_t slot;
-    uint32_t ts;  // index into ts_seen
-    double value;
-  };
-  std::vector<Family> families;
-  std::unordered_map<std::string, uint32_t> family_of;
-  std::vector<EpochSeconds> ts_seen;  // distinct, first-seen order
-  std::unordered_map<EpochSeconds, uint32_t> ts_of;
-  std::vector<Cell> cells;
-  uint32_t num_slots = 0;
-
-  // A query result's value columns; rows without map cells read them in
-  // key order, the last of equally named columns winning.
-  std::vector<size_t> value_cols;
-  std::vector<size_t> sorted_cols;
-  if (!in.ff_v.has_value()) {
-    for (size_t c = 0; c < t.num_columns(); ++c) {
-      if (c != in.ts && c != in.name) value_cols.push_back(c);
-    }
-    sorted_cols = value_cols;
-    std::stable_sort(sorted_cols.begin(), sorted_cols.end(),
-                     [&](size_t a, size_t b) {
-                       return t.schema().field(a).name <
-                              t.schema().field(b).name;
-                     });
-    std::vector<size_t> last;
-    for (size_t i = 0; i < sorted_cols.size(); ++i) {
-      if (i + 1 < sorted_cols.size() &&
-          t.schema().field(sorted_cols[i]).name ==
-              t.schema().field(sorted_cols[i + 1]).name) {
-        continue;
-      }
-      last.push_back(sorted_cols[i]);
-    }
-    sorted_cols = std::move(last);
-  }
-
-  std::vector<Entry> entries;
-  std::vector<Entry> prev_entries;
-  std::vector<uint32_t> prev_slots;
-  const table::Value* prev_name = nullptr;
-  uint32_t fam = UINT32_MAX;
-  uint32_t prev_fam = UINT32_MAX;
-  EpochSeconds prev_ts = 0;
-  uint32_t ts_index = UINT32_MAX;
-  for (size_t r = 0; r < t.num_rows(); ++r) {
-    const table::Value& ts_v = t.At(r, in.ts);
-    if (ts_v.is_null()) continue;
-    const table::Value* name_v = nullptr;
-    if (in.name.has_value() && !t.At(r, *in.name).is_null()) {
-      name_v = &t.At(r, *in.name);
-    }
-
-    // The row's entries, in key order.
-    entries.clear();
-    if (in.ff_v.has_value()) {
-      const table::ValueMap* v = t.At(r, *in.ff_v).AsMap();
-      if (name_v == nullptr || v == nullptr) continue;
-      for (const auto& [k, val] : *v) entries.push_back({k, &val, 0});
-    } else {
-      bool flat = true;
-      for (size_t c : value_cols) {
-        if (t.At(r, c).AsMap() != nullptr) flat = false;
-      }
-      const std::vector<size_t>& cols = flat ? sorted_cols : value_cols;
-      for (size_t c : cols) {
-        const table::Value& cell = t.At(r, c);
-        if (const table::ValueMap* m = cell.AsMap(); m != nullptr) {
-          for (const auto& [k, mv] : *m) {
-            entries.push_back({k, &mv, entries.size()});
-          }
-        } else {
-          entries.push_back({t.schema().field(c).name, &cell, entries.size()});
-        }
-      }
-      if (!flat) {
-        std::sort(entries.begin(), entries.end(),
-                  [](const Entry& a, const Entry& b) {
-                    return a.key != b.key ? a.key < b.key : a.seq < b.seq;
-                  });
-        size_t out = 0;
-        for (size_t i = 0; i < entries.size(); ++i) {
-          if (i + 1 < entries.size() && entries[i + 1].key == entries[i].key) {
-            continue;
-          }
-          entries[out++] = entries[i];
-        }
-        entries.resize(out);
-      }
-    }
-
-    // The family: looked up only when the name cell changes.
-    if (fam == UINT32_MAX || (name_v == nullptr) != (prev_name == nullptr) ||
-        (name_v != nullptr && !name_v->Identical(*prev_name))) {
-      std::string fam_name =
-          name_v != nullptr ? name_v->AsString() : in.default_family;
-      const auto [it, inserted] = family_of.try_emplace(
-          fam_name, static_cast<uint32_t>(families.size()));
-      if (inserted) families.push_back(Family{std::move(fam_name)});
-      fam = it->second;
-    }
-    prev_name = name_v;
-
-    const EpochSeconds ts = ts_v.AsTimestamp();
-    if (ts_index == UINT32_MAX || ts != prev_ts) {
-      const auto [it, inserted] =
-          ts_of.try_emplace(ts, static_cast<uint32_t>(ts_seen.size()));
-      if (inserted) ts_seen.push_back(ts);
-      ts_index = it->second;
-      prev_ts = ts;
-    }
-
-    // Feature slots: reused while the family and its keys repeat.
-    bool same_keys = fam == prev_fam && entries.size() == prev_entries.size();
-    for (size_t i = 0; same_keys && i < entries.size(); ++i) {
-      same_keys = entries[i].key == prev_entries[i].key;
-    }
-    if (!same_keys) {
-      Family& f = families[fam];
-      prev_slots.clear();
-      for (const Entry& e : entries) {
-        auto it = f.slot_of.find(e.key);
-        if (it == f.slot_of.end()) {
-          it = f.slot_of.emplace(std::string(e.key), num_slots++).first;
-          f.features.emplace_back(e.key);
-          f.slots.push_back(it->second);
-        }
-        prev_slots.push_back(it->second);
-      }
-      prev_fam = fam;
-    }
-    prev_entries.swap(entries);
-    for (size_t i = 0; i < prev_entries.size(); ++i) {
-      const table::Value& v = *prev_entries[i].value;
-      if (!v.is_null()) cells.push_back({prev_slots[i], ts_index, v.AsDouble()});
-    }
-  }
-
-  // The grid: the sorted union of timestamps; cells land in slot-major
-  // columns over it, later cells overwriting earlier ones.
-  std::vector<EpochSeconds> grid = ts_seen;
-  std::sort(grid.begin(), grid.end());
-  std::vector<uint32_t> grid_row(ts_seen.size());
-  for (size_t i = 0; i < ts_seen.size(); ++i) {
-    grid_row[i] = static_cast<uint32_t>(
-        std::lower_bound(grid.begin(), grid.end(), ts_seen[i]) -
-        grid.begin());
-  }
-  const size_t rows = grid.size();
-  std::vector<double> columns(size_t{num_slots} * rows,
-                              std::numeric_limits<double>::quiet_NaN());
-  for (const Cell& c : cells) {
-    columns[size_t{c.slot} * rows + grid_row[c.ts]] = c.value;
-  }
-
-  std::vector<FeatureFamily> out;
-  out.reserve(families.size());
-  std::vector<double> col;
-  for (Family& f : families) {
-    FeatureFamily fam_out;
-    fam_out.name = std::move(f.name);
-    fam_out.timestamps = grid;
-    fam_out.feature_names = std::move(f.features);
-    fam_out.data = la::Matrix(rows, f.slots.size());
-    for (size_t c = 0; c < f.slots.size(); ++c) {
-      const double* src = columns.data() + size_t{f.slots[c]} * rows;
-      col.assign(src, src + rows);
-      tsdb::InterpolateMissing(col);
-      fam_out.data.SetCol(c, col);
-    }
-    out.push_back(std::move(fam_out));
-  }
-  return out;
-}
-
-}  // namespace
-
 Result<std::vector<FeatureFamily>> FamiliesFromQueryResult(
     const table::Table& query_result, const std::string& default_family) {
   EXPLAINIT_ASSIGN_OR_RETURN(const FamilyColumns cols,
@@ -382,6 +347,9 @@ Result<std::vector<FeatureFamily>> FamiliesFromQueryResult(
   PivotInput in;
   in.ts = cols.ts;
   in.name = cols.name;
+  for (size_t c = 0; c < query_result.num_columns(); ++c) {
+    if (c != cols.ts && c != cols.name) in.value_cols.push_back(c);
+  }
   in.default_family = default_family;
   return Pivot(query_result, in);
 }
@@ -398,7 +366,8 @@ Result<std::vector<FeatureFamily>> FamiliesFromTable(const table::Table& t) {
   PivotInput in;
   in.ts = *ts_idx;
   in.name = name_idx;
-  in.ff_v = v_idx;
+  in.value_cols = {*v_idx};
+  in.strict = true;
   return Pivot(t, in);
 }
 

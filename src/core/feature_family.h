@@ -3,7 +3,6 @@
 // hypothesis generation".
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -54,26 +53,19 @@ Result<std::vector<FeatureFamily>> BuildFamilies(
     const std::vector<tsdb::SeriesData>& series,
     const GroupingOptions& options);
 
-/// Where a SQL result keeps its timestamps and family names:
-///  - the ts column is one named ts (else timestamp), else the first
-///    column whose first non-null cell is a TIMESTAMP;
-///  - the name column is one named name (unless it is the ts column),
-///    else the first other column whose first non-null cell is a string;
-///    absent when there is none.
-struct FamilyColumns {
-  size_t ts = 0;
-  std::optional<size_t> name;
-};
-Result<FamilyColumns> LocateFamilyColumns(const table::Table& query_result);
-
 /// Normalises an arbitrary SQL result into the Figure 4 Feature Family
-/// Table schema (ts, name, v), with the columns LocateFamilyColumns
-/// finds. Rows with a NULL ts are dropped; a missing name column or a
-/// NULL name gives `default_family`; every remaining column becomes a map
-/// entry keyed by its column name ("the second stage interprets the
-/// aggregated columns as a map whose keys are the column names",
-/// Appendix C), except that a map cell flattens into its own entries
-/// (later columns overwrite earlier keys).
+/// Table schema (ts, name, v):
+///  - the ts column is one named ts (else timestamp), else the first
+///    column whose first non-null cell is a TIMESTAMP; rows with a NULL
+///    ts are dropped;
+///  - the name column is one named name, else the first other column
+///    whose first non-null cell is a string; a missing name column or a
+///    NULL name gives `default_family`;
+///  - every remaining column becomes a map entry keyed by its column name
+///    ("the second stage interprets the aggregated columns as a map whose
+///    keys are the column names", Appendix C), except that a map cell
+///    flattens into its own entries (later columns overwrite earlier
+///    keys).
 Result<table::Table> NormalizeToFeatureFamilyTable(
     const table::Table& query_result,
     const std::string& default_family = "family");

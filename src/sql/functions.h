@@ -14,6 +14,9 @@
 namespace explainit::sql {
 
 /// A scalar SQL function: pure mapping from argument values to a value.
+/// Callers rely on it: a result may be reused for rows whose inputs are
+/// identical (RunMemo, bound_expr.h), so a function runs at most once per
+/// such run of rows, and may run concurrently on several threads.
 using ScalarFn =
     std::function<Result<table::Value>(const std::vector<table::Value>&)>;
 
