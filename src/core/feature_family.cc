@@ -166,19 +166,19 @@ struct PivotInput {
 };
 
 /// The one pivot from rows to families. Families and their features are
-/// numbered in first-seen order, and each (family, feature) owns a
-/// column of one flat buffer over the sorted union of timestamps, so
-/// nothing is allocated per row or per cell.
+/// numbered in first-seen order; cells are written straight into each
+/// family's matrix over the sorted union of timestamps, so nothing is
+/// allocated per row or per cell.
 Result<std::vector<FeatureFamily>> Pivot(const table::Table& t,
                                          const PivotInput& in) {
   struct Family {
     std::string name;
     std::vector<std::string> features;
-    std::vector<uint32_t> slots;  // parallel to features
-    std::map<std::string, uint32_t, std::less<>> slot_of;
+    std::map<std::string, uint32_t, std::less<>> feature_of;
   };
   struct Cell {
-    uint32_t slot;
+    uint32_t family;
+    uint32_t feature;
     uint32_t ts;  // index into ts_seen
     double value;
   };
@@ -187,7 +187,6 @@ Result<std::vector<FeatureFamily>> Pivot(const table::Table& t,
   std::vector<EpochSeconds> ts_seen;  // distinct, in first-seen order
   std::unordered_map<EpochSeconds, uint32_t> ts_of;
   std::vector<Cell> cells;
-  uint32_t num_slots = 0;
 
   // The family and timestamp lookups are skipped while a row repeats the
   // previous row's name cell or timestamp.
@@ -257,20 +256,21 @@ Result<std::vector<FeatureFamily>> Pivot(const table::Table& t,
 
     Family& f = families[fam];
     for (const Entry& e : entries) {
-      auto it = f.slot_of.find(e.key);
-      if (it == f.slot_of.end()) {
-        it = f.slot_of.emplace(std::string(e.key), num_slots++).first;
+      auto it = f.feature_of.find(e.key);
+      if (it == f.feature_of.end()) {
+        it = f.feature_of
+                 .emplace(e.key, static_cast<uint32_t>(f.features.size()))
+                 .first;
         f.features.emplace_back(e.key);
-        f.slots.push_back(it->second);
       }
       if (!e.value->is_null()) {
-        cells.push_back({it->second, ts_index, e.value->AsDouble()});
+        cells.push_back({fam, it->second, ts_index, e.value->AsDouble()});
       }
     }
   }
 
-  // Cells land in slot-major columns over the sorted grid, later cells
-  // overwriting earlier ones.
+  // Cells land in NaN-initialised matrices over the sorted grid, later
+  // cells overwriting earlier ones; then each column is interpolated.
   std::vector<EpochSeconds> grid = ts_seen;
   std::sort(grid.begin(), grid.end());
   std::vector<uint32_t> grid_row(ts_seen.size());
@@ -279,27 +279,25 @@ Result<std::vector<FeatureFamily>> Pivot(const table::Table& t,
         std::lower_bound(grid.begin(), grid.end(), ts_seen[i]) -
         grid.begin());
   }
-  const size_t rows = grid.size();
-  std::vector<double> columns(size_t{num_slots} * rows,
-                              std::numeric_limits<double>::quiet_NaN());
-  for (const Cell& c : cells) {
-    columns[size_t{c.slot} * rows + grid_row[c.ts]] = c.value;
+  std::vector<FeatureFamily> out(families.size());
+  for (size_t i = 0; i < families.size(); ++i) {
+    out[i].name = std::move(families[i].name);
+    out[i].timestamps = grid;
+    out[i].feature_names = std::move(families[i].features);
+    const size_t width = out[i].feature_names.size();
+    out[i].data = la::Matrix(
+        grid.size(), width,
+        std::vector<double>(grid.size() * width,
+                            std::numeric_limits<double>::quiet_NaN()));
   }
-
-  std::vector<FeatureFamily> out;
-  out.reserve(families.size());
-  std::vector<double> col;
-  for (Family& f : families) {
-    FeatureFamily& fam_out = out.emplace_back();
-    fam_out.name = std::move(f.name);
-    fam_out.timestamps = grid;
-    fam_out.feature_names = std::move(f.features);
-    fam_out.data = la::Matrix(rows, f.slots.size());
-    for (size_t c = 0; c < f.slots.size(); ++c) {
-      const double* src = columns.data() + size_t{f.slots[c]} * rows;
-      col.assign(src, src + rows);
+  for (const Cell& c : cells) {
+    out[c.family].data(grid_row[c.ts], c.feature) = c.value;
+  }
+  for (FeatureFamily& f : out) {
+    for (size_t c = 0; c < f.num_features(); ++c) {
+      std::vector<double> col = f.data.Col(c);
       tsdb::InterpolateMissing(col);
-      fam_out.data.SetCol(c, col);
+      f.data.SetCol(c, col);
     }
   }
   return out;

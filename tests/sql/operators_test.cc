@@ -739,5 +739,42 @@ TEST_F(GroupRunTest, ShardMergeKeepsFirstSeenOrderAndValues) {
   }
 }
 
+TEST_F(GroupRunTest, ShardMergeKeepsTheFirstDeferredErrorInRowOrder) {
+  // An aggregate argument fails on rows 1501 and 4501 of group 1 and on
+  // row 3000 of group 0: the query reports group 0's error (the first
+  // group in output order), and within group 1 the row-1501 error
+  // precedes row 4501's, wherever the shard boundaries fall.
+  functions_.Register(
+      "CHECKED", [](const std::vector<Value>& args) -> Result<Value> {
+        const int64_t row = args.at(0).AsInt();
+        if (row == 1501 || row == 3000 || row == 4501) {
+          return Status::InvalidArgument("bad row " + std::to_string(row));
+        }
+        return args[0];
+      });
+  Table rows(Schema{{{"k", DataType::kInt64}, {"r", DataType::kInt64}}});
+  for (int r = 0; r < 6000; ++r) {
+    rows.AppendRow({Value::Int(r % 2), Value::Int(r)});
+  }
+  catalog_.RegisterTable("rows", std::move(rows));
+  for (size_t p : {1, 4}) {
+    SCOPED_TRACE("p=" + std::to_string(p));
+    Executor ex(&catalog_, &functions_, p);
+    auto all = ex.Query("SELECT k, SUM(CHECKED(r)) AS s FROM rows GROUP BY k");
+    ASSERT_FALSE(all.ok());
+    EXPECT_EQ(all.status().message(), "bad row 3000");
+    // HAVING drops group 0 without consulting its failed slot.
+    auto one = ex.Query(
+        "SELECT k, SUM(CHECKED(r)) AS s FROM rows GROUP BY k HAVING k = 1");
+    ASSERT_FALSE(one.ok());
+    EXPECT_EQ(one.status().message(), "bad row 1501");
+    auto none = ex.Query(
+        "SELECT k, COUNT(*) AS n FROM rows GROUP BY k "
+        "HAVING SUM(CHECKED(r)) IS NULL OR k = 0");
+    ASSERT_FALSE(none.ok());
+    EXPECT_EQ(none.status().message(), "bad row 3000");
+  }
+}
+
 }  // namespace
 }  // namespace explainit::sql
