@@ -216,13 +216,6 @@ void RowKeyEncoder::Start(const table::ColumnBatch& batch) {
 Status RowKeyEncoder::Encode(size_t row, std::string* key, bool* matchable) {
   key->clear();
   for (Part& p : parts_) {
-    if (!p.memo.enabled()) {
-      table::Value tmp;
-      const table::Value* v = nullptr;
-      EXPLAINIT_RETURN_IF_ERROR(p.expr->EvalRef(*batch_, row, &tmp, &v));
-      if (!EncodeKey(*v, key)) *matchable = false;
-      continue;
-    }
     if (!p.memo.Hit(*batch_, row)) {
       table::Value tmp;
       const table::Value* v = nullptr;

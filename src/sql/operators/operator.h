@@ -182,7 +182,7 @@ class RowKeyEncoder {
   struct Part {
     const BoundExpr* expr;
     RunMemo memo;
-    std::string bytes;  // the remembered row's encoding
+    std::string bytes;  // the last evaluated row's encoding
     bool matchable = true;
   };
   const table::ColumnBatch* batch_ = nullptr;
